@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .codes import Code, column_profile, hamming_distance
+from .codes import Code, hamming_distance
 from .errors import RegistryMissError
 
 __all__ = [

@@ -13,7 +13,9 @@ symbols, so the tentative value of an unassigned symbol is uniform per
 cell.  Only rows achieving the minimal next image are branched on; ties
 are collapsed further by automorphisms discovered whenever two branches
 complete with identical matrices, and branches whose partial image
-exceeds the best known matrix are pruned.
+exceeds the best known matrix are pruned.  ``_canonize`` also returns
+those automorphisms, read off the two leaves' column orders and symbol
+maps as equivalences of the form onto itself.
 
 Deciding whether a code already is canonical takes a cheaper route: the
 candidate image is compared against the code's own next row while it is
@@ -22,7 +24,7 @@ positions, and any row beating the target settles the question at once.
 """
 from __future__ import annotations
 
-from .codes import Code, Word
+from .codes import Code, EquivalenceMap, Word
 from .errors import BudgetError
 
 __all__ = ["canonical_form", "is_canonical"]
@@ -140,6 +142,7 @@ class _Engine:
         self.words = words
         self.m_count = len(words)
         self.n = n
+        self.q = q
         self.root_cells = (tuple(range(n)),)
         self.root_maps = ((-1,) * q,) * n
         self.root_nfree = (0,) * n
@@ -147,6 +150,10 @@ class _Engine:
         self.nodes = 0
         self.autos: list[tuple[int, ...]] = []
         self.best_path: tuple[int, ...] | None = None
+        # column order and symbol maps of the best leaf and of each leaf
+        # behind an entry of autos, when the caller passes them
+        self.best_leaf = None
+        self.leaves: list = []
         self.used: list[int] = []
         self.used_set: set[int] = set()
 
@@ -180,14 +187,54 @@ class _Engine:
                         stack.append(y)
         return reps
 
-    def record_leaf(self):
+    def record_leaf(self, leaf=None):
         if self.best_path is None:
-            self.best_path = tuple(self.used)
+            self.new_best(leaf)
         elif len(self.autos) < _AUTO_CAP:
             p = [0] * self.m_count
             for a, b in zip(self.best_path, self.used):
                 p[a] = b
             self.autos.append(tuple(p))
+            self.leaves.append(leaf)
+
+    def new_best(self, leaf):
+        self.best_path = tuple(self.used)
+        self.best_leaf = leaf
+        self.autos.clear()
+        self.leaves.clear()
+
+    def automorphisms(self):
+        """Each recorded leaf as an automorphism of the best image: the
+        inverse of the leaf's labelling followed by the best labelling."""
+        q = self.q
+        cols1, maps1 = self.best_leaf
+        pos1 = {c: t for t, c in enumerate(cols1)}
+        full1 = [_bijection(m, q) for m in maps1]
+        out = []
+        for cols2, maps2 in self.leaves:
+            perm = [0] * self.n
+            sps = [()] * self.n
+            for p, c in enumerate(cols2):
+                t = pos1[c]
+                perm[p] = t
+                inv2 = [0] * q
+                for s, v in enumerate(_bijection(maps2[c], q)):
+                    inv2[v] = s
+                sps[t] = tuple(full1[c][inv2[s]] for s in range(q))
+            out.append(EquivalenceMap(tuple(perm), tuple(sps)))
+        return tuple(out)
+
+
+def _bijection(partial, q):
+    """Complete a partial symbol map (-1 for symbols absent from the
+    column) with the unused values in increasing order."""
+    nxt = max(partial) + 1
+    out = list(partial)
+    for s in range(q):
+        if out[s] < 0:
+            out[s] = nxt
+            nxt += 1
+    return out
 
 
 def _decide(words: tuple[Word, ...], n: int, q: int, node_budget: int) -> bool:
@@ -236,7 +283,8 @@ def _decide(words: tuple[Word, ...], n: int, q: int, node_budget: int) -> bool:
 
 
 def _least_image(words: tuple[Word, ...], n: int, q: int, node_budget: int):
-    """Least image matrix of a sorted word tuple."""
+    """Least image matrix of a sorted word tuple, and the engine that
+    holds the automorphisms found on the way."""
     m_count = len(words)
     eng = _Engine(words, n, q, node_budget)
     best = list(words)
@@ -247,12 +295,12 @@ def _least_image(words: tuple[Word, ...], n: int, q: int, node_budget: int):
         eng.tick()
         k = len(eng.used)
         if k == m_count:
+            leaf = (tuple(j for cell in cells for j in cell), maps)
             if tight:
-                eng.record_leaf()
+                eng.record_leaf(leaf)
             else:
                 best[:] = prefix
-                eng.best_path = tuple(eng.used)
-                eng.autos.clear()
+                eng.new_best(leaf)
                 state["gen"] += 1
             return
         evals = []
@@ -288,16 +336,25 @@ def _least_image(words: tuple[Word, ...], n: int, q: int, node_budget: int):
             prefix.pop()
 
     dfs(eng.root_cells, eng.root_maps, eng.root_nfree, True)
-    return best
+    return best, eng
+
+
+def _canonize(code: Code, node_budget: int = _DEFAULT_NODE_BUDGET):
+    """The canonical form and automorphisms of it found by the search.
+
+    The automorphisms generate a subgroup of Aut(form), not necessarily
+    all of it: the search records at most _AUTO_CAP of them.
+    """
+    if code.size == 0:
+        return code, ()
+    rows, eng = _least_image(code.words, code.params.n, code.params.q, node_budget)
+    return Code(code.params, tuple(rows)), eng.automorphisms()
 
 
 def canonical_form(code: Code, node_budget: int = _DEFAULT_NODE_BUDGET) -> Code:
     """The least equivalent code; equal inputs up to equivalence give
     identical outputs."""
-    if code.size == 0:
-        return code
-    rows = _least_image(code.words, code.params.n, code.params.q, node_budget)
-    return Code(code.params, tuple(rows))
+    return _canonize(code, node_budget)[0]
 
 
 def is_canonical(code: Code, node_budget: int = _DEFAULT_NODE_BUDGET) -> bool:

@@ -218,8 +218,9 @@ def cmd_net(args) -> int:
         return _fail(str(exc))
     try:
         if args.action == "check":
-            report = verify_net_axioms(parse_net(text))
-            gram_ok = gram_check(parse_net(text))
+            net = parse_net(text)
+            report = verify_net_axioms(net)
+            gram_ok = gram_check(net)
             if args.json:
                 print(
                     json.dumps(

@@ -114,10 +114,6 @@ class Code:
     def size(self) -> int:
         return len(self.words)
 
-    def matrix(self) -> tuple[Word, ...]:
-        """Rows of the code in sorted order."""
-        return self.words
-
 
 def min_distance_of(words: Sequence[Word]) -> int:
     """Minimum pairwise Hamming distance over a list of two or more words."""

@@ -292,10 +292,10 @@ def _block_classes(net: SymmetricNet, arr: np.ndarray):
     return _cover_classes(arr, net.q)
 
 
-def _point_classes(net: SymmetricNet, arr: np.ndarray):
+def _point_classes(net: SymmetricNet, gram: np.ndarray):
     if net.point_classes is not None:
         return net.point_classes
-    return _zero_graph_classes(arr @ arr.T, net.q)
+    return _zero_graph_classes(gram, net.q)
 
 
 def verify_net_axioms(net: SymmetricNet) -> NetAxiomReport:
@@ -326,10 +326,10 @@ def verify_net_axioms(net: SymmetricNet) -> NetAxiomReport:
             if class_of[a] != class_of[b]
         )
 
-    pclasses = _point_classes(net, arr)
+    gram = arr @ arr.T
+    pclasses = _point_classes(net, gram)
     s3 = False
     if pclasses is not None:
-        gram = arr @ arr.T
         class_of = {i: c for c, cl in enumerate(pclasses) for i in cl}
         s3 = all(
             gram[a, b] == (0 if class_of[a] == class_of[b] else mu)
@@ -337,7 +337,6 @@ def verify_net_axioms(net: SymmetricNet) -> NetAxiomReport:
             for b in range(a + 1, v)
         )
 
-    gram = arr @ arr.T
     s_prime = bool((gram[~np.eye(v, dtype=bool)] <= mu).all())
     return NetAxiomReport(
         mu, q, sizes_ok, s1, s2, s3, s_prime, pclasses, bclasses
@@ -348,7 +347,7 @@ def _arranged(net: SymmetricNet) -> np.ndarray:
     """Incidence with rows and columns grouped by parallel classes so
     that every q x q cell is a permutation matrix."""
     arr = net.array()
-    pclasses = _point_classes(net, arr)
+    pclasses = _point_classes(net, arr @ arr.T)
     bclasses = _block_classes(net, arr)
     if pclasses is None or bclasses is None:
         raise StructureError("no parallel-class arrangement exists")

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from multiprocessing import Pool
 
 import numpy as np
 
 from .bounds import pair_count_bounds, plotkin_bound
-from .canonical import _decide_words, canonical_form
+from .canonical import _canonize, _decide_words, canonical_form
 from .codes import Code, CodeParams, Word, hamming_distance
 from .errors import BudgetError, ExtensionError, ScaleError
 
@@ -273,17 +273,57 @@ def classify(q: int, n: int, d: int, target_size: int) -> tuple[Code, ...]:
 
 def codes_by_deletion(parents) -> tuple[Code, ...]:
     """All classes obtained by deleting one word from the given codes,
-    deduplicated by canonical form and sorted."""
-    return _codes_by_deletion(tuple(parents))
+    deduplicated by canonical form and sorted.
+
+    Deleting two words of one automorphism orbit gives equivalent codes,
+    so only one word per orbit of each parent is deleted.
+    """
+    return _codes_by_deletion(tuple(_Canonized(*_canonize(p)) for p in parents))
+
+
+@dataclass(frozen=True)
+class _Canonized:
+    """A canonical form with automorphisms of it; equal and hashed by the
+    form alone, so equivalent parents share one cache entry."""
+
+    form: Code
+    automorphisms: tuple = field(compare=False)
+
+
+def _orbit_representatives(code: Code, generators) -> list[int]:
+    """Least word index of each orbit of the group the generators span.
+
+    A generator that does not map the word set onto itself is dropped;
+    the orbits are then finer than the true ones, never wrong.
+    """
+    index = {w: i for i, w in enumerate(code.words)}
+    root = list(range(code.size))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for g in generators:
+        images = [index.get(g.apply_word(w)) for w in code.words]
+        if None in images:
+            continue
+        for i, j in enumerate(images):
+            a, b = find(i), find(j)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [i for i in range(code.size) if find(i) == i]
 
 
 @lru_cache(maxsize=None)
-def _codes_by_deletion(parents: tuple[Code, ...]) -> tuple[Code, ...]:
+def _codes_by_deletion(parents: tuple[_Canonized, ...]) -> tuple[Code, ...]:
     seen: dict[tuple[Word, ...], Code] = {}
     for parent in parents:
-        for i in range(parent.size):
-            rest = parent.words[:i] + parent.words[i + 1 :]
-            child = canonical_form(Code(parent.params, rest))
+        words = parent.form.words
+        for i in _orbit_representatives(parent.form, parent.automorphisms):
+            rest = words[:i] + words[i + 1 :]
+            child = canonical_form(Code(parent.form.params, rest))
             seen.setdefault(child.words, child)
     return tuple(seen[k] for k in sorted(seen))
 

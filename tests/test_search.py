@@ -5,9 +5,18 @@ import random
 import pytest
 
 from codebounds.bounds import pair_count_bounds
-from codebounds.canonical import canonical_form, is_canonical
-from codebounds.codes import Code, hamming_distance, min_distance, min_distance_of
+from codebounds.canonical import _canonize, canonical_form, is_canonical
+from codebounds.codes import (
+    Code,
+    EquivalenceMap,
+    apply_equivalence,
+    hamming_distance,
+    min_distance,
+    min_distance_of,
+)
 from codebounds.errors import BudgetError, ExtensionError, ScaleError
+from codebounds.fileio import packaged_text
+from codebounds.nets import gh_expand, net_to_code, parse_gh
 from codebounds.search import (
     AlphaStats,
     EnumerationTask,
@@ -18,6 +27,7 @@ from codebounds.search import (
     enumerate_codes,
     extend_deficient,
 )
+from codebounds.search import _codes_by_deletion, _orbit_representatives
 
 LATIN_SQUARE_CODE = (
     (0, 0, 0), (0, 1, 1), (0, 2, 2),
@@ -128,6 +138,90 @@ def test_codes_by_deletion_latin_square():
     # the symmetry group is word-transitive, so one class remains
     assert len(children) == 1
     assert children[0].size == 8
+
+
+def brute_force_deletion(parents):
+    """Canonical form of every one-word deletion, deduplicated and sorted."""
+    forms = set()
+    for parent in parents:
+        for i in range(parent.size):
+            rest = parent.words[:i] + parent.words[i + 1 :]
+            forms.add(canonical_form(Code(parent.params, rest)))
+    return tuple(sorted(forms, key=lambda c: c.words))
+
+
+def code32():
+    """The size-32 (8,6)_4 code of the bundled generalized Hadamard matrix."""
+    return net_to_code(gh_expand(parse_gh(packaged_text("gh8_klein4.gh"))))
+
+
+def random_codes(seed, count):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        q, n = rng.choice([(2, 4), (3, 3), (3, 4), (4, 3)])
+        words = set()
+        while len(words) < rng.randint(2, 8):
+            words.add(tuple(rng.randrange(q) for _ in range(n)))
+        out.append(Code.from_words(words, q, n, d=1, check_distance=False))
+    return out
+
+
+@pytest.mark.parametrize(
+    "q,n,d,size", [(2, 2, 2, 2), (3, 3, 2, 9), (2, 3, 2, 4), (2, 4, 2, 6), (2, 4, 3, 2)]
+)
+def test_deletion_orbits_match_brute_force(q, n, d, size):
+    parents = enumerate_codes(EnumerationTask(q, n, d, size))
+    assert codes_by_deletion(parents) == brute_force_deletion(parents)
+
+
+def test_deletion_orbits_match_brute_force_on_other_inputs():
+    latin = Code.from_words(LATIN_SQUARE_CODE, 3, 3)
+    assert codes_by_deletion([latin]) == brute_force_deletion([latin])
+    # parents that are not canonical forms, one at a time and together
+    parents = random_codes(0xD1E7, 40)
+    for parent in parents:
+        assert codes_by_deletion([parent]) == brute_force_deletion([parent])
+    for params in {p.params for p in parents}:
+        group = [p for p in parents if p.params == params]
+        assert codes_by_deletion(group) == brute_force_deletion(group)
+
+
+def test_canonize_generators_are_automorphisms():
+    for code in [Code.from_words(LATIN_SQUARE_CODE, 3, 3), *random_codes(7, 60)]:
+        form, gens = _canonize(code)
+        assert form == canonical_form(code)
+        for g in gens:
+            assert apply_equivalence(form, g) == form
+
+
+def test_corrupted_generator_is_dropped():
+    form, gens = _canonize(Code.from_words(LATIN_SQUARE_CODE, 3, 3))
+    assert _orbit_representatives(form, gens) == [0]
+    # swapping symbols 0 and 1 in the first column alone maps (0,0,0) to
+    # (1,0,0), which is not a word of the form
+    bad = EquivalenceMap((0, 1, 2), ((1, 0, 2), (0, 1, 2), (0, 1, 2)))
+    assert apply_equivalence(form, bad) != form
+    assert _orbit_representatives(form, [bad]) == list(range(form.size))
+    assert _orbit_representatives(form, [bad, *gens]) == [0]
+
+
+def test_deletion_of_code32_is_one_orbit_one_class():
+    parent = code32()
+    form, gens = _canonize(parent)
+    for g in gens:
+        assert apply_equivalence(form, g) == form
+    # checked automorphisms joining all 32 words into one orbit prove
+    # that every deletion lies in one class; one deletion made from the
+    # uncanonized code confirms which class that is
+    assert _orbit_representatives(form, gens) == [0]
+    classes = codes_by_deletion([parent])
+    assert len(classes) == 1
+    # the cache is keyed on canonical forms, so the form itself hits
+    hits = _codes_by_deletion.cache_info().hits
+    assert codes_by_deletion([form]) == classes
+    assert _codes_by_deletion.cache_info().hits == hits + 1
+    assert classes == (canonical_form(Code(parent.params, parent.words[:-1])),)
 
 
 def test_extend_deficient_roundtrip():
