@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from multiprocessing import Pool
 
@@ -43,6 +43,8 @@ DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_TIME_LIMIT = 600.0
 SCALE_CAP = 200_000
 SCAN_CAP = 2_000_000
+# canonical prefixes to reach before the jobs run to the target size
+SPLIT_JOBS = 16
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class _Found(Exception):
 
 
 class _Searcher:
-    def __init__(self, task: EnumerationTask):
+    def __init__(self, task: EnumerationTask, deadline: float | None):
         self.q, self.n, self.d = task.q, task.n, task.d
         self.target = task.target_size
         self.mode = task.mode
@@ -92,7 +94,7 @@ class _Searcher:
             task.node_budget if task.node_budget is not None else DEFAULT_NODE_BUDGET
         )
         self.time_limit = task.time_limit
-        self.start = time.monotonic()
+        self.deadline = deadline
         self.nodes = 0
         pc = pair_count_bounds(self.q, self.n, self.d, self.target)
         self.budget = pc.budget
@@ -113,17 +115,12 @@ class _Searcher:
     def _tick(self):
         self.nodes += 1
         if self.nodes > self.node_budget:
-            raise BudgetError(
-                f"enumeration node budget {self.node_budget} exhausted",
-                self.nodes,
-                tuple(self.found),
-            )
-        if self.time_limit is not None and self.nodes % 256 == 0:
-            if time.monotonic() - self.start > self.time_limit:
+            raise BudgetError(f"enumeration node budget {self.node_budget} exhausted")
+        # the clock is read at each job's first node, then every 256 nodes
+        if self.deadline is not None and self.nodes % 256 == 1:
+            if time.monotonic() >= self.deadline:
                 raise BudgetError(
-                    f"enumeration time limit {self.time_limit}s exhausted",
-                    self.nodes,
-                    tuple(self.found),
+                    f"enumeration time limit {self.time_limit}s exhausted"
                 )
 
     def initial_state(self):
@@ -158,14 +155,18 @@ class _Searcher:
         self.counts[self.col_idx, np.asarray(word, dtype=np.uint8)] -= 1
 
     def expand(self, chosen, cand, nond, prefix_nond, stop_size):
-        """Depth-first orderly expansion up to stop_size words."""
+        """Depth-first orderly expansion up to stop_size words.
+
+        The loop leaves room for target words, not stop_size ones, so
+        expanding a level at a time visits the nodes of one undivided
+        search."""
         k = len(chosen)
         if k == stop_size:
             self.found.append(tuple(chosen))
-            if self.mode == "exists":
+            if self.mode == "exists" and k == self.target:
                 raise _Found
             return
-        need = stop_size - k
+        need = self.target - k
         for i in range(len(cand) - need + 1):
             self._tick()
             if prefix_nond + int(nond[i]) > self.budget:
@@ -189,22 +190,33 @@ class _Searcher:
 
 
 def _expand_job(args):
-    task, prefix = args
-    s = _Searcher(task)
-    st = s.state_for_prefix(prefix)
+    """Expand one canonical prefix to stop_size words.
+
+    Returns (found, nodes, exhausted), where exhausted is the message of
+    a spent budget or deadline and None when the job ran to its end."""
+    task, deadline, prefix, stop_size = args
+    s = _Searcher(task, deadline)
     try:
-        s.expand(*st, task.target_size)
+        s.expand(*s.state_for_prefix(prefix), stop_size)
     except _Found:
         pass
-    return s.found, s.nodes
+    except BudgetError as exc:
+        return s.found, s.nodes, str(exc)
+    return s.found, s.nodes, None
 
 
 def enumerate_codes(task: EnumerationTask, workers: int = 1) -> tuple[Code, ...]:
     """All equivalence classes of (n,d)_q codes of the target size, as
     canonical representatives in sorted order.
 
-    The result does not depend on ``workers``; parallel runs split the
-    search below the canonical two-word prefixes.
+    The search runs as jobs, one per canonical prefix: prefixes grow a
+    word at a time in-process until there are at least SPLIT_JOBS of them
+    or the next size is the target, then each is expanded to the target,
+    by a pool of ``workers`` processes when there is more than one.  The
+    result, the node count and the partial result of a BudgetError do
+    not depend on ``workers``.  Each job may spend the whole node budget;
+    the jobs' summed nodes are checked against it once, at the end, and
+    one deadline holds for every job.
     """
     q, n, d, target = task.q, task.n, task.d, task.target_size
     if q**n > SCALE_CAP and task.node_budget is None:
@@ -215,51 +227,30 @@ def enumerate_codes(task: EnumerationTask, workers: int = 1) -> tuple[Code, ...]
     if target > q**n or pair_count_bounds(q, n, d, target).budget < 0:
         return ()
     params = CodeParams(q, n, d)
+    deadline = None if task.time_limit is None else time.monotonic() + task.time_limit
+    node_budget = DEFAULT_NODE_BUDGET if task.node_budget is None else task.node_budget
 
-    def as_codes(word_sets):
-        return tuple(Code(params, ws) for ws in sorted(set(word_sets)))
-
-    split = min(2, target)
-    # the split phase always collects every canonical prefix
-    searcher = _Searcher(replace(task, mode="all"))
-    try:
-        searcher.expand(*searcher.initial_state(), split)
-    except BudgetError as exc:
-        done = searcher.found if split == target else ()
-        raise BudgetError(str(exc), exc.nodes, as_codes(done)) from None
-    if split == target:
-        out = searcher.found
-        total_nodes = searcher.nodes
-    else:
-        prefixes = searcher.found
-        jobs = [(task, p) for p in prefixes]
-        if workers > 1 and task.mode == "all" and len(jobs) > 1:
-            try:
-                with Pool(workers) as pool:
-                    results = pool.map(_expand_job, jobs)
-            except BudgetError as exc:
-                raise BudgetError(str(exc), exc.nodes, ()) from None
+    found, size, nodes = [()], 0, 0
+    while True:
+        final = len(found) >= SPLIT_JOBS or size + 1 == target
+        stop = target if final else size + 1
+        jobs = [(task, deadline, prefix, stop) for prefix in found]
+        if final and workers > 1 and len(jobs) > 1:
+            with Pool(min(workers, len(jobs))) as pool:
+                results = list(pool.imap_unordered(_expand_job, jobs))
         else:
-            results = []
-            try:
-                for j in jobs:
-                    results.append(_expand_job(j))
-                    if task.mode == "exists" and results[-1][0]:
-                        break
-            except BudgetError as exc:
-                done = [c for found, _ in results for c in found]
-                done += list(exc.partial)
-                nodes = searcher.nodes + sum(n_ for _, n_ in results) + exc.nodes
-                raise BudgetError(str(exc), nodes, as_codes(done)) from None
-        out = [c for found, _ in results for c in found]
-        total_nodes = searcher.nodes + sum(nodes for _, nodes in results)
-        if total_nodes > searcher.node_budget:
-            raise BudgetError(
-                f"enumeration node budget {searcher.node_budget} exhausted",
-                total_nodes,
-                as_codes(out),
-            )
-    codes = tuple(Code(params, ws) for ws in sorted(out))
+            results = list(map(_expand_job, jobs))
+        found = sorted(ws for job_found, _, _ in results for ws in job_found)
+        nodes += sum(job_nodes for _, job_nodes, _ in results)
+        exhausted = [msg for _, _, msg in results if msg]
+        if final or exhausted:
+            break
+        size = stop
+    codes = tuple(Code(params, ws) for ws in found) if final else ()
+    if not exhausted and nodes > node_budget:
+        exhausted = [f"enumeration node budget {node_budget} exhausted"]
+    if exhausted:
+        raise BudgetError(exhausted[0], nodes, codes)
     if task.mode == "exists":
         return codes[:1]
     return codes
@@ -318,13 +309,13 @@ def _orbit_representatives(code: Code, generators) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _codes_by_deletion(parents: tuple[_Canonized, ...]) -> tuple[Code, ...]:
-    seen: dict[tuple[Word, ...], Code] = {}
+    seen: dict[tuple[CodeParams, tuple[Word, ...]], Code] = {}
     for parent in parents:
         words = parent.form.words
         for i in _orbit_representatives(parent.form, parent.automorphisms):
             rest = words[:i] + words[i + 1 :]
             child = canonical_form(Code(parent.form.params, rest))
-            seen.setdefault(child.words, child)
+            seen.setdefault((child.params, child.words), child)
     return tuple(seen[k] for k in sorted(seen))
 
 

@@ -102,6 +102,9 @@ def test_worker_determinism():
     assert enumerate_codes(task, workers=2) == enumerate_codes(task, workers=1)
     single = EnumerationTask(3, 3, 2, 9)
     assert enumerate_codes(single, workers=3) == enumerate_codes(single)
+    # seven final jobs, so workers=2 runs them in a pool
+    split = EnumerationTask(4, 7, 6, 8)
+    assert enumerate_codes(split, workers=2) == enumerate_codes(split)
 
 
 def test_infeasible_pair_budget_is_empty():
@@ -115,6 +118,33 @@ def test_budget_error_carries_partial_state():
         enumerate_codes(EnumerationTask(5, 7, 6, 15, node_budget=500))
     assert err.value.nodes > 500
     assert isinstance(err.value.partial, tuple)
+
+
+@pytest.mark.parametrize(
+    "params,budget",
+    [
+        ((2, 4, 2, 6), 30),  # every job fits; the summed nodes do not
+        ((2, 5, 2, 8), 60),  # one final job spends its budget
+    ],
+)
+def test_budget_error_does_not_depend_on_workers(params, budget):
+    caught = []
+    for workers in (1, 2, 3):
+        with pytest.raises(BudgetError) as err:
+            enumerate_codes(EnumerationTask(*params, node_budget=budget), workers)
+        caught.append((err.value.nodes, err.value.partial))
+    assert caught[0] == caught[1] == caught[2]
+    nodes, partial = caught[0]
+    assert nodes > budget
+    assert partial and set(partial) <= set(enumerate_codes(EnumerationTask(*params)))
+    assert list(partial) == sorted(partial, key=lambda c: c.words)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_time_limit_is_one_deadline(workers):
+    task = EnumerationTask(4, 7, 6, 8, time_limit=0.0)
+    with pytest.raises(BudgetError, match="time limit"):
+        enumerate_codes(task, workers)
 
 
 def test_scale_guard_requires_explicit_budget():
@@ -185,6 +215,18 @@ def test_deletion_orbits_match_brute_force_on_other_inputs():
     for params in {p.params for p in parents}:
         group = [p for p in parents if p.params == params]
         assert codes_by_deletion(group) == brute_force_deletion(group)
+
+
+def test_deletion_keeps_parents_with_different_params_apart():
+    rng = random.Random(0x3A4)
+    parents = []
+    for q in (3, 4):
+        for _ in range(10):
+            words = {tuple(rng.randrange(q) for _ in range(3)) for _ in range(5)}
+            parents.append(Code.from_words(words, q, 3, d=1, check_distance=False))
+    got = codes_by_deletion(parents)
+    assert set(got) == set(brute_force_deletion(parents))
+    assert {c.params.q for c in got} == {3, 4}
 
 
 def test_canonize_generators_are_automorphisms():
