@@ -123,11 +123,6 @@ class _Searcher:
                     f"enumeration time limit {self.time_limit}s exhausted"
                 )
 
-    def initial_state(self):
-        cand = all_words(self.q, self.n)
-        nond = np.zeros(len(cand), dtype=np.int32)
-        return [], cand, nond, 0
-
     def child_state(self, chosen, cand, nond, prefix_nond, i):
         """State after appending candidate i; counts are updated in place
         and must be rolled back by the caller."""
@@ -179,7 +174,8 @@ class _Searcher:
             self.rollback(wt)
 
     def state_for_prefix(self, prefix):
-        chosen, cand, nond, prefix_nond = self.initial_state()
+        cand = all_words(self.q, self.n)
+        chosen, nond, prefix_nond = [], np.zeros(len(cand), dtype=np.int32), 0
         for w in prefix:
             warr = np.asarray(w, dtype=np.uint8)
             idx = int(np.nonzero((cand == warr).all(axis=1))[0][0])

@@ -141,7 +141,7 @@ def test_budget_error_does_not_depend_on_workers(params, budget):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_time_limit_is_one_deadline(workers):
+def test_zero_time_limit_raises(workers):
     task = EnumerationTask(4, 7, 6, 8, time_limit=0.0)
     with pytest.raises(BudgetError, match="time limit"):
         enumerate_codes(task, workers)
