@@ -10,12 +10,17 @@ partial symbol renamings, tracked as an ordered partition of columns
 (cells of columns not yet distinguished) plus one partial symbol map per
 column.  Columns in one cell always carry the same number of assigned
 symbols, so the tentative value of an unassigned symbol is uniform per
-cell.  Only rows achieving the minimal next image are branched on; ties
-are collapsed further by automorphisms discovered whenever two branches
-complete with identical matrices, and branches whose partial image
-exceeds the best known matrix are pruned.  ``_canonize`` also returns
-those automorphisms, read off the two leaves' column orders and symbol
-maps as equivalences of the form onto itself.
+cell.  Only rows achieving the minimal next image are branched on, and
+branches whose partial image exceeds the best known matrix are pruned.
+A leaf whose matrix ties the best one yields an automorphism, mapping
+the best leaf's rows onto its own.  Two rules of McKay and Piperno
+("Practical graph isomorphism, II", 2014) prune with them.  The search
+jumps back to the level where the two paths first part: there the
+automorphism maps the fully searched best branch onto the current one.
+A sibling is skipped, just before its turn, when an automorphism fixing
+the committed rows maps an already searched sibling onto it, since its
+subtree is then that sibling's image.  ``_canonize`` returns these
+automorphisms as equivalences of the form onto itself.
 
 Deciding whether a code already is canonical takes a cheaper route: the
 candidate image is compared against the code's own next row while it is
@@ -29,7 +34,6 @@ from .errors import BudgetError
 
 __all__ = ["canonical_form", "is_canonical"]
 
-_AUTO_CAP = 256
 _DEFAULT_NODE_BUDGET = 20_000_000
 
 
@@ -162,40 +166,34 @@ class _Engine:
         if self.nodes > self.node_budget:
             raise BudgetError("canonical-form search budget exhausted", self.nodes)
 
-    def orbit_reps(self, cand_idx):
-        if len(cand_idx) <= 1 or not self.autos:
-            return cand_idx
-        used = self.used
-        fixing = [p for p in self.autos if all(p[i] == i for i in used)]
-        if not fixing:
-            return cand_idx
-        cset = set(cand_idx)
-        seen: set[int] = set()
-        reps = []
-        for c in cand_idx:
-            if c in seen:
-                continue
-            reps.append(c)
-            stack = [c]
-            seen.add(c)
-            while stack:
-                x = stack.pop()
-                for p in fixing:
-                    y = p[x]
-                    if y in cset and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-        return reps
+    def pruned(self, i, done):
+        """True when row i lies in the orbit of the searched siblings in
+        done under the recorded automorphisms fixing every committed row."""
+        fixing = [p for p in self.autos if all(p[u] == u for u in self.used)]
+        orbit, stack = set(done), list(done)
+        while stack:
+            x = stack.pop()
+            new = {p[x] for p in fixing} - orbit
+            orbit |= new
+            stack.extend(new)
+        return i in orbit
 
     def record_leaf(self, leaf=None):
+        """Keep the first leaf as best_path, and a later one, which ties
+        it, as the automorphism p with p[best_path[t]] = used[t].  Return
+        the level to resume at: m_count after the first leaf, else the
+        first level l where the two paths part.  p fixes best_path[:l] and
+        maps the fully searched subtree below best_path[l] onto the current
+        one, whose other leaves are thus images of leaves already seen."""
         if self.best_path is None:
             self.new_best(leaf)
-        elif len(self.autos) < _AUTO_CAP:
-            p = [0] * self.m_count
-            for a, b in zip(self.best_path, self.used):
-                p[a] = b
-            self.autos.append(tuple(p))
-            self.leaves.append(leaf)
+            return self.m_count
+        p = [0] * self.m_count
+        for a, b in zip(self.best_path, self.used):
+            p[a] = b
+        self.autos.append(tuple(p))
+        self.leaves.append(leaf)
+        return next(t for t, a in enumerate(self.best_path) if a != self.used[t])
 
     def new_best(self, leaf):
         self.best_path = tuple(self.used)
@@ -253,8 +251,7 @@ def _decide(words: tuple[Word, ...], n: int, q: int, node_budget: int) -> bool:
         eng.tick()
         k = len(eng.used)
         if k == m_count:
-            eng.record_leaf()
-            return
+            return eng.record_leaf()
         target = words[k]
         achievers = []
         plans = {}
@@ -267,13 +264,20 @@ def _decide(words: tuple[Word, ...], n: int, q: int, node_budget: int) -> bool:
             if cmp == 0:
                 achievers.append(i)
                 plans[i] = plan
-        for i in eng.orbit_reps(achievers):
+        done: list[int] = []
+        for i in achievers:
+            if done and eng.autos and eng.pruned(i, done):
+                continue
             nc, nm, nf = _apply_plan(words[i], maps, nfree, plans[i])
             eng.used.append(i)
             eng.used_set.add(i)
-            dfs(nc, nm, nf)
+            back = dfs(nc, nm, nf)
             eng.used.pop()
             eng.used_set.remove(i)
+            if back < k:
+                return back
+            done.append(i)
+        return m_count
 
     try:
         dfs(eng.root_cells, eng.root_maps, eng.root_nfree)
@@ -297,12 +301,11 @@ def _least_image(words: tuple[Word, ...], n: int, q: int, node_budget: int):
         if k == m_count:
             leaf = (tuple(j for cell in cells for j in cell), maps)
             if tight:
-                eng.record_leaf(leaf)
-            else:
-                best[:] = prefix
-                eng.new_best(leaf)
-                state["gen"] += 1
-            return
+                return eng.record_leaf(leaf)
+            best[:] = prefix
+            eng.new_best(leaf)
+            state["gen"] += 1
+            return m_count
         evals = []
         vmin = None
         for i in range(m_count):
@@ -314,13 +317,16 @@ def _least_image(words: tuple[Word, ...], n: int, q: int, node_budget: int):
             evals.append((img, i, plan))
         if tight:
             if vmin > best[k]:
-                return
+                return m_count
             now_tight = vmin == best[k]
         else:
             now_tight = False
         achievers = {i: plan for (img, i, plan) in evals if img == vmin}
         gen_seen = state["gen"]
-        for i in eng.orbit_reps(list(achievers)):
+        done: list[int] = []
+        for i in achievers:
+            if done and eng.autos and eng.pruned(i, done):
+                continue
             if state["gen"] != gen_seen:
                 # best improved inside a sibling subtree below this very
                 # prefix, so the shared prefix is now exactly tight
@@ -330,10 +336,14 @@ def _least_image(words: tuple[Word, ...], n: int, q: int, node_budget: int):
             eng.used.append(i)
             eng.used_set.add(i)
             prefix.append(vmin)
-            dfs(nc, nm, nf, now_tight)
+            back = dfs(nc, nm, nf, now_tight)
             eng.used.pop()
             eng.used_set.remove(i)
             prefix.pop()
+            if back < k:
+                return back
+            done.append(i)
+        return m_count
 
     dfs(eng.root_cells, eng.root_maps, eng.root_nfree, True)
     return best, eng
@@ -342,8 +352,10 @@ def _least_image(words: tuple[Word, ...], n: int, q: int, node_budget: int):
 def _canonize(code: Code, node_budget: int = _DEFAULT_NODE_BUDGET):
     """The canonical form and automorphisms of it found by the search.
 
-    The automorphisms generate a subgroup of Aut(form), not necessarily
-    all of it: the search records at most _AUTO_CAP of them.
+    They generate the whole group of the form as it acts on the words:
+    down the best path, every sibling in the orbit of the best branch is
+    either searched, which records an automorphism onto it, or skipped
+    because the recorded ones already reach it.
     """
     if code.size == 0:
         return code, ()

@@ -3,7 +3,8 @@ theorem verification.
 
 Every subcommand validates its inputs before doing work, writes files
 atomically, and exits 0 on success, 1 on a refuted claim, and 2 on
-inapplicable parameters or input errors.
+inapplicable parameters, input errors or an exhausted search budget.
+Running out of budget is never reported as a refutation.
 """
 from __future__ import annotations
 
@@ -280,6 +281,8 @@ def cmd_verify(args) -> int:
         cert = run_pipeline(args.theorem_id, workers=max(1, args.threads))
     except KeyError as exc:
         return _fail(exc.args[0])
+    except (BudgetError, ScaleError) as exc:
+        return _fail(f"{args.theorem_id}: no verdict, resources exhausted: {exc}")
     write_certificate(cert, args.out)
     sys.stdout.write(cert.to_json() if args.json else cert.to_text())
     return cert.exit_code

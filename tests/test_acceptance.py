@@ -5,6 +5,7 @@ certified pipelines, net round trips, extension recovery, and the
 randomized invariant suite. Each prints a single criterion line.
 """
 import functools
+import hashlib
 import random
 
 import pytest
@@ -128,6 +129,36 @@ def test_criterion_05_pipelines_verify_and_reproduce_table(certificates):
     rows = table.data["rows"]
     assert [row["bound"] for row in rows] == NEW_BOUNDS_COLUMN
     assert all(row["bound"] == row["claimed"] for row in rows)
+
+
+# sha256 of to_json() and to_text() at workers=1; any change to the
+# certified computation, its order or its wording moves them
+CERTIFICATE_SHA256 = {
+    "a5_8_6": (
+        "baeb309b463c36bb313d77d70a24b4c3ea42e4db32e7537c459535e182348b4b",
+        "d45676eae1871b0de34e950f038b70b7c78a2e6c5ea0df46af7ebe830f2f05ca",
+    ),
+    "a3_16_11": (
+        "9c9b83fa5856fc2891e5f96958225462ac2acbb314f0b37da3cf36a342440bf4",
+        "9bdb830db8d65c236c862270f903f75bfad1075c914ac0d2c4474c3c045430cf",
+    ),
+    "a4_9_6": (
+        "02b7cf1067d188fae05883631a3f9f17acecb9cce7fb19de388678dac24db9ca",
+        "b800ab560b055d2d10e3ab50febd22574edeb81553f09a5d58484b2b8d461568",
+    ),
+    "divisibility_family": (
+        "5d80550ebc6f64accbeca41ae308a548600fe6bd323070e5416f2ef3ce1dadc2",
+        "40ac602052f5f5cab4bf030fa9e566a778ac66a472d8da769f16169215210bd4",
+    ),
+}
+
+
+def test_certificates_are_pinned(certificates):
+    got = {
+        tid: tuple(hashlib.sha256(s.encode()).hexdigest() for s in (c.to_json(), c.to_text()))
+        for tid, c in certificates.items()
+    }
+    assert got == CERTIFICATE_SHA256
 
 
 @criterion(6)

@@ -1,9 +1,22 @@
 """Canonical form: brute-force oracle agreement, orbit invariance, idempotence."""
+import functools
 import itertools
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from codebounds.canonical import canonical_form, is_canonical
-from codebounds.codes import Code, EquivalenceMap, apply_equivalence, random_equivalence
+from codebounds.codes import (
+    Code,
+    EquivalenceMap,
+    apply_equivalence,
+    parse_code,
+    random_equivalence,
+)
+from codebounds.fileio import packaged_text
+from codebounds.nets import gh_expand, net_to_code, parse_gh
+from codebounds.search import EnumerationTask, enumerate_codes
 
 
 def brute_force_canonical(code: Code) -> Code:
@@ -87,3 +100,50 @@ def test_empty_and_singleton():
     assert canonical_form(single).words == ((0, 0, 0),)
     assert not is_canonical(single)
     assert is_canonical(Code.from_words([(0, 0, 0)], q=4, n=3))
+
+
+@functools.lru_cache(maxsize=None)
+def symmetric_codes():
+    """Codes with large automorphism groups, out of the brute-force
+    oracle's reach: full spaces, the Latin-square code, the (7,6)_4
+    classes of size 8 and the size-32 (8,6)_4 code."""
+    codes = [
+        Code.from_words(itertools.product(range(q), repeat=n), q, n)
+        for q, n in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2), (4, 3)]
+    ]
+    codes.append(parse_code(packaged_text("code_3_2_3.code")))
+    codes.extend(enumerate_codes(EnumerationTask(4, 7, 6, 8)))
+    codes.append(net_to_code(gh_expand(parse_gh(packaged_text("gh8_klein4.gh")))))
+    return tuple(codes)
+
+
+@st.composite
+def equivalences(draw, n, q):
+    cols = draw(st.permutations(range(n)))
+    sps = tuple(tuple(draw(st.permutations(range(q)))) for _ in range(n))
+    return EquivalenceMap(tuple(cols), sps)
+
+
+def check_form_properties(code, data):
+    p = code.params
+    x = apply_equivalence(code, data.draw(equivalences(p.n, p.q)))
+    y = apply_equivalence(code, data.draw(equivalences(p.n, p.q)))
+    form = canonical_form(x)
+    assert canonical_form(y) == form
+    assert canonical_form(form) == form
+    assert is_canonical(form)
+    assert is_canonical(x) == (x == form)
+    assert is_canonical(y) == (y == form)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_form_properties_on_symmetric_codes(data):
+    check_form_properties(data.draw(st.sampled_from(symmetric_codes())), data)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_form_properties_on_a_31_word_deletion(data):
+    form = canonical_form(symmetric_codes()[-1])
+    check_form_properties(Code(form.params, form.words[1:]), data)

@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+from codebounds import cli
 from codebounds.cli import BUDGET_ENV, main
 from codebounds.codes import parse_code
+from codebounds.errors import BudgetError, ScaleError
 from codebounds.fileio import packaged_text, read_class_files
 from codebounds.nets import SymmetricNet, emit_net
 
@@ -274,6 +276,21 @@ def test_verify_unknown_theorem(capsys):
     assert rc == 2
     assert "unknown theorem id" in err
     assert "a5_8_6" in err
+
+
+@pytest.mark.parametrize(
+    "error", [BudgetError("node budget exhausted", 7), ScaleError("too big")]
+)
+def test_verify_exhausted_resources_is_not_a_refutation(tmp_path, monkeypatch, capsys, error):
+    def exhausted(theorem_id, workers=1):
+        raise error
+
+    monkeypatch.setattr(cli, "run_pipeline", exhausted)
+    rc, out, err = run_cli(capsys, "verify", "a5_8_6", "--out", str(tmp_path))
+    assert rc == 2
+    assert out == ""
+    assert "a5_8_6: no verdict" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point():

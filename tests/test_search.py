@@ -3,9 +3,10 @@ import itertools
 import random
 
 import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from codebounds.bounds import pair_count_bounds
-from codebounds.canonical import _canonize, canonical_form, is_canonical
+from codebounds.canonical import _canonize, _least_image, canonical_form, is_canonical
 from codebounds.codes import (
     Code,
     EquivalenceMap,
@@ -264,6 +265,67 @@ def test_deletion_of_code32_is_one_orbit_one_class():
     assert codes_by_deletion([form]) == classes
     assert _codes_by_deletion.cache_info().hits == hits + 1
     assert classes == (canonical_form(Code(parent.params, parent.words[:-1])),)
+
+
+def row_group_order(form, generators):
+    """Order of the group the generators induce on the form's words."""
+    index = {w: i for i, w in enumerate(form.words)}
+    perms = [Permutation([index[g.apply_word(w)] for w in form.words]) for g in generators]
+    return PermutationGroup([Permutation(form.size - 1), *perms]).order()
+
+
+def brute_force_row_group_order(code):
+    """Distinct permutations of the words induced by every equivalence
+    that maps the word set onto itself; feasible for n, q <= 3."""
+    q, n = code.params.q, code.params.n
+    index = {w: i for i, w in enumerate(code.words)}
+    seen = set()
+    for cols in itertools.permutations(range(n)):
+        for sps in itertools.product(itertools.permutations(range(q)), repeat=n):
+            g = EquivalenceMap(cols, sps)
+            image = tuple(index.get(g.apply_word(w)) for w in code.words)
+            if None not in image:
+                seen.add(image)
+    return len(seen)
+
+
+def test_canonize_generators_span_the_whole_group():
+    rng = random.Random(0x6A0)
+    codes = [Code.from_words(LATIN_SQUARE_CODE, 3, 3)]
+    for q, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        codes.append(Code.from_words(itertools.product(range(q), repeat=n), q, n))
+    for _ in range(40):
+        q, n = rng.choice([(2, 3), (3, 2), (3, 3)])
+        words = {tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(2, 9))}
+        codes.append(Code.from_words(words, q, n, d=1, check_distance=False))
+    for code in codes:
+        form, gens = _canonize(code)
+        assert row_group_order(form, gens) == brute_force_row_group_order(form)
+
+
+def test_code32_group_from_few_generators():
+    form, gens = _canonize(code32())
+    assert row_group_order(form, gens) == 5376
+    assert len(gens) <= 4
+    last = Code(form.params, form.words[:-1])
+    form31, gens31 = _canonize(last)
+    assert row_group_order(form31, gens31) == 168
+    assert len(gens31) <= 2
+
+
+def test_canonical_search_node_counts():
+    # the node counts are deterministic; these bounds keep the pruning
+    # from going slack unnoticed
+    parent = code32()
+    form = canonical_form(parent)
+    p = parent.params
+    for words, bound in [
+        (parent.words, 1_000),
+        (form.words[1:], 15_000),
+        (form.words[:-1], 15_000),
+    ]:
+        _, eng = _least_image(words, p.n, p.q, 10**8)
+        assert eng.nodes <= bound
 
 
 def test_extend_deficient_roundtrip():
