@@ -541,6 +541,8 @@ def parse_net(text: str) -> SymmetricNet:
         mu, q = int(head[0]), int(head[1])
     except ValueError as exc:
         raise ParseError("header", f"non-integer header {lines[0]!r}") from exc
+    if mu < 1 or q < 1:
+        raise ParseError("header", f"mu and q must be positive, got {lines[0]!r}")
     v = mu * q * q
     if len(lines) - 1 != v:
         raise ParseError("length", f"expected {v} rows, found {len(lines) - 1}")
@@ -584,7 +586,10 @@ def _parse_group(spec: str, k: int, rows: list[str]):
                 table.append(tuple(int(t) for t in ln.split()))
             except ValueError as exc:
                 raise ParseError("group", f"bad Cayley row {ln!r}") from exc
-        return Group(tuple(table)), rows[k:]
+        try:
+            return Group(tuple(table)), rows[k:]
+        except StructureError as exc:
+            raise ParseError("group", str(exc)) from exc
     raise ParseError("group", f"unknown group spec {spec!r}")
 
 
@@ -600,6 +605,11 @@ def parse_gh(text: str) -> GeneralizedHadamard:
         n, k = int(head[0]), int(head[1])
     except ValueError as exc:
         raise ParseError("header", f"non-integer header {lines[0]!r}") from exc
+    if n < 1 or k < 1 or n % k:
+        raise ParseError("header", f"|G| must divide a positive n, got {lines[0]!r}")
+    # bounds the group order by the file's length before a group is built
+    if len(lines) - 2 < n:
+        raise ParseError("length", f"expected {n} matrix rows, found {len(lines) - 2}")
     group, rest = _parse_group(lines[1], k, lines[2:])
     if len(rest) != n:
         raise ParseError("length", f"expected {n} matrix rows, found {len(rest)}")
@@ -614,6 +624,8 @@ def parse_gh(text: str) -> GeneralizedHadamard:
             row = tuple(int(t) for t in toks)
         except ValueError as exc:
             raise ParseError("symbol-range", f"non-integer entry in {ln!r}") from exc
+        if any(not 0 <= x < k for x in row):
+            raise ParseError("symbol-range", f"entry of {ln!r} is not below {k}")
         entries.append(row)
     return GeneralizedHadamard(group, tuple(entries))
 

@@ -28,6 +28,7 @@ from codebounds.search import (
     enumerate_codes,
     extend_deficient,
 )
+from codebounds import search
 from codebounds.search import _codes_by_deletion, _orbit_representatives
 
 LATIN_SQUARE_CODE = (
@@ -106,6 +107,45 @@ def test_worker_determinism():
     # seven final jobs, so workers=2 runs them in a pool
     split = EnumerationTask(4, 7, 6, 8)
     assert enumerate_codes(split, workers=2) == enumerate_codes(split)
+
+
+def without_profile_rule(monkeypatch):
+    monkeypatch.setattr(search._Searcher, "feasible", lambda self, chosen, cand: True)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("params", [(4, 7, 6, 8), (3, 3, 2, 9), (3, 4, 3, 9), (2, 5, 2, 8)])
+def test_profile_rule_keeps_every_class(monkeypatch, params, workers):
+    task = EnumerationTask(*params)
+    pruned = enumerate_codes(task, workers)
+    without_profile_rule(monkeypatch)
+    assert enumerate_codes(task, workers) == pruned
+
+
+def test_profile_rule_prunes_before_deciding(monkeypatch):
+    decisions, checks = [], []
+    decide, feasible = search._decide_words, search._Searcher.feasible
+
+    def counting_decide(words, n, q):
+        decisions.append(len(words))
+        return decide(words, n, q)
+
+    def counting_feasible(self, chosen, cand):
+        checks.append(feasible(self, chosen, cand))
+        return checks[-1]
+
+    monkeypatch.setattr(search, "_decide_words", counting_decide)
+    monkeypatch.setattr(search._Searcher, "feasible", counting_feasible)
+    task = EnumerationTask(4, 7, 6, 8)
+    pruned = enumerate_codes(task)
+    with_rule = len(decisions)
+    # 314 of the 462 checks prune here; the brute-force case (2,4,2,6)
+    # prunes 2 of its 19
+    assert checks.count(False) > checks.count(True)
+    decisions.clear()
+    without_profile_rule(monkeypatch)
+    assert enumerate_codes(task) == pruned
+    assert with_rule < len(decisions)
 
 
 def test_infeasible_pair_budget_is_empty():
