@@ -27,7 +27,7 @@ from .bounds import (
     pair_count_bounds,
     registry_lookup,
 )
-from .canonical import canonical_form
+from .canonical import _canonize, canonical_form
 from .codes import min_distance
 from .errors import RegistryMissError
 from .fileio import atomic_write_text, packaged_text
@@ -36,6 +36,7 @@ from .search import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_TIME_LIMIT,
     EnumerationTask,
+    _Canonized,
     alpha_stats,
     candidate_count,
     classify,
@@ -557,10 +558,10 @@ def verify_a4_9_6(workers: int = 1) -> Certificate:
         )
     )
 
-    classes31 = codes_by_deletion([code32])
-    canon32 = canonical_form(code32)
+    parent32 = _Canonized(*_canonize(code32))
+    classes31 = codes_by_deletion([parent32])
     closes = all(
-        canonical_form(extend_deficient(c)) == canon32 for c in classes31
+        canonical_form(extend_deficient(c)) == parent32.form for c in classes31
     )
     steps.append(
         CertStep(

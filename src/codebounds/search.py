@@ -123,7 +123,7 @@ class _Searcher:
         self.counts = np.zeros((self.n, self.q), dtype=np.int32)
         self.col_idx = np.arange(self.n)
         self.col_offsets = self.col_idx * self.q
-        self.found: list[tuple[Word, ...]] = []
+        self.found: list[tuple] = []
 
     def _tick(self):
         self.nodes += 1
@@ -136,9 +136,9 @@ class _Searcher:
                     f"enumeration time limit {self.time_limit}s exhausted"
                 )
 
-    def child_state(self, chosen, cand, nond, prefix_nond, i):
-        """State after appending candidate i; counts are updated in place
-        and must be rolled back by the caller."""
+    def child_state(self, words, cand, nond, prefix_nond, i):
+        """State of ``words``, which end in candidate i; counts are updated
+        in place and must be rolled back by the caller."""
         w = cand[i]
         rest = cand[i + 1 :]
         restnond = nond[i + 1 :]
@@ -152,12 +152,7 @@ class _Searcher:
         new_prefix_nond = prefix_nond + int(nond[i])
         new_nond = restnond + (dist != self.d)
         sel &= new_prefix_nond + new_nond <= self.budget
-        return (
-            chosen + [tuple(int(x) for x in w)],
-            rest[sel],
-            new_nond[sel],
-            new_prefix_nond,
-        )
+        return words, rest[sel], new_nond[sel], new_prefix_nond
 
     def feasible(self, chosen, cand):
         """Whether the candidates can still complete every column.
@@ -176,14 +171,15 @@ class _Searcher:
         self.counts[self.col_idx, np.asarray(word, dtype=np.uint8)] -= 1
 
     def expand(self, chosen, cand, nond, prefix_nond, stop_size):
-        """Depth-first orderly expansion up to stop_size words.
+        """Depth-first orderly expansion up to stop_size words, recording
+        the state of each code of that size.
 
         The loop leaves room for target words, not stop_size ones, so
         expanding a level at a time visits the nodes of one undivided
         search."""
         k = len(chosen)
         if k == stop_size:
-            self.found.append(tuple(chosen))
+            self.found.append((chosen, cand, nond, prefix_nond))
             if self.mode == "exists" and k == self.target:
                 raise _Found
             return
@@ -199,38 +195,29 @@ class _Searcher:
             self._tick()
             if prefix_nond + int(nond[i]) > self.budget:
                 continue
-            wt = tuple(int(x) for x in cand[i])
-            words = tuple(chosen) + (wt,)
+            wt = tuple(cand[i].tolist())
+            words = chosen + (wt,)
             if not check_first and not _decide_words(words, self.n, self.q):
                 continue
-            st = self.child_state(chosen, cand, nond, prefix_nond, i)
+            st = self.child_state(words, cand, nond, prefix_nond, i)
             if self.feasible(st[0], st[1]) and (
                 not check_first or _decide_words(words, self.n, self.q)
             ):
                 self.expand(*st, stop_size)
             self.rollback(wt)
 
-    def state_for_prefix(self, prefix):
-        cand = all_words(self.q, self.n)
-        chosen, nond, prefix_nond = [], np.zeros(len(cand), dtype=np.int32), 0
-        for w in prefix:
-            warr = np.asarray(w, dtype=np.uint8)
-            idx = int(np.nonzero((cand == warr).all(axis=1))[0][0])
-            chosen, cand, nond, prefix_nond = self.child_state(
-                chosen, cand, nond, prefix_nond, idx
-            )
-        return chosen, cand, nond, prefix_nond
-
 
 def _expand_job(args):
-    """Expand one canonical prefix to stop_size words.
+    """Expand one canonical prefix's search state to stop_size words.
 
-    Returns (found, nodes, exhausted), where exhausted is the message of
-    a spent budget or deadline and None when the job ran to its end."""
-    task, deadline, prefix, stop_size = args
+    Returns (found, nodes, exhausted): the states reached, and the message
+    of a spent budget or deadline, None when the job ran to its end."""
+    task, deadline, state, stop_size = args
     s = _Searcher(task, deadline)
+    for w in state[0]:
+        s.counts[s.col_idx, w] += 1
     try:
-        s.expand(*s.state_for_prefix(prefix), stop_size)
+        s.expand(*state, stop_size)
     except _Found:
         pass
     except BudgetError as exc:
@@ -245,7 +232,10 @@ def enumerate_codes(task: EnumerationTask, workers: int = 1) -> tuple[Code, ...]
     The search runs as jobs, one per canonical prefix: prefixes grow a
     word at a time in-process until there are at least SPLIT_JOBS of them
     or the next size is the target, then each is expanded to the target,
-    by a pool of ``workers`` processes when there is more than one.  The
+    by a pool of ``workers`` processes when there is more than one.  A job
+    carries its prefix's search state, the words after the prefix's last
+    one that may still join it and their pair counts, as the parent job
+    left it, so only the column counts are rebuilt.  The
     result, the node count and the partial result of a BudgetError do
     not depend on ``workers``.  Each job may spend the whole node budget;
     the jobs' summed nodes are checked against it once, at the end, and
@@ -263,23 +253,24 @@ def enumerate_codes(task: EnumerationTask, workers: int = 1) -> tuple[Code, ...]
     deadline = None if task.time_limit is None else time.monotonic() + task.time_limit
     node_budget = DEFAULT_NODE_BUDGET if task.node_budget is None else task.node_budget
 
-    found, size, nodes = [()], 0, 0
+    root = ((), all_words(q, n), np.zeros(q**n, dtype=np.int32), 0)
+    found, size, nodes = [root], 0, 0
     while True:
         final = len(found) >= SPLIT_JOBS or size + 1 == target
         stop = target if final else size + 1
-        jobs = [(task, deadline, prefix, stop) for prefix in found]
+        jobs = [(task, deadline, state, stop) for state in found]
         if final and workers > 1 and len(jobs) > 1:
             with Pool(min(workers, len(jobs))) as pool:
                 results = list(pool.imap_unordered(_expand_job, jobs))
         else:
             results = list(map(_expand_job, jobs))
-        found = sorted(ws for job_found, _, _ in results for ws in job_found)
+        found = sorted((st for r in results for st in r[0]), key=lambda st: st[0])
         nodes += sum(job_nodes for _, job_nodes, _ in results)
         exhausted = [msg for _, _, msg in results if msg]
         if final or exhausted:
             break
         size = stop
-    codes = tuple(Code(params, ws) for ws in found) if final else ()
+    codes = tuple(Code(params, st[0]) for st in found) if final else ()
     if not exhausted and nodes > node_budget:
         exhausted = [f"enumeration node budget {node_budget} exhausted"]
     if exhausted:
@@ -300,9 +291,13 @@ def codes_by_deletion(parents) -> tuple[Code, ...]:
     deduplicated by canonical form and sorted.
 
     Deleting two words of one automorphism orbit gives equivalent codes,
-    so only one word per orbit of each parent is deleted.
+    so only one word per orbit of each parent is deleted.  A parent given
+    as a ``_Canonized`` is not canonized again.
     """
-    return _codes_by_deletion(tuple(_Canonized(*_canonize(p)) for p in parents))
+    canonized = (
+        p if isinstance(p, _Canonized) else _Canonized(*_canonize(p)) for p in parents
+    )
+    return _codes_by_deletion(tuple(canonized))
 
 
 @dataclass(frozen=True)

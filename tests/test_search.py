@@ -2,6 +2,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
@@ -19,6 +20,7 @@ from codebounds.errors import BudgetError, ExtensionError, ScaleError
 from codebounds.fileio import packaged_text
 from codebounds.nets import gh_expand, net_to_code, parse_gh
 from codebounds.search import (
+    SPLIT_JOBS,
     AlphaStats,
     EnumerationTask,
     all_words,
@@ -194,6 +196,64 @@ def test_scale_guard_requires_explicit_budget():
     # an explicit budget overrides the guard but still fails loudly
     with pytest.raises(BudgetError):
         enumerate_codes(EnumerationTask(5, 8, 6, 65, node_budget=200))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("params,total", [((2, 5, 2, 8), 458), ((4, 7, 6, 8), 23_721)])
+def test_node_totals_are_pinned(params, total, workers):
+    # a budget one short of the search's node total fails with exactly
+    # that total; a budget of the total itself succeeds
+    with pytest.raises(BudgetError) as err:
+        enumerate_codes(EnumerationTask(*params, node_budget=total - 1), workers)
+    assert err.value.nodes == total
+    full = enumerate_codes(EnumerationTask(*params, node_budget=total), workers)
+    assert full == enumerate_codes(EnumerationTask(*params))
+
+
+def brute_force_state(q, n, d, cap, budget, chosen):
+    """The candidates, their pair counts and the prefix's pair count of a
+    prefix, recomputed from every word of the space after its last word."""
+    assert list(chosen) == sorted(set(chosen))
+    last = sum(s * q ** (n - 1 - j) for j, s in enumerate(chosen[-1])) if chosen else -1
+    grid = all_words(q, n)[last + 1 :]
+    words = np.array(chosen, dtype=np.uint8).reshape(len(chosen), n)
+    dist = np.count_nonzero(grid[:, None, :] != words[None, :, :], axis=2)
+    counts = np.zeros((n, q), dtype=int)
+    for w in chosen:
+        counts[np.arange(n), list(w)] += 1
+    assert (counts <= cap).all()
+    within_cap = (counts[np.arange(n), grid] + 1 <= cap).all(axis=1)
+    nond = (dist != d).sum(axis=1)
+    prefix_nond = sum(
+        hamming_distance(u, v) != d for u, v in itertools.combinations(chosen, 2)
+    )
+    keep = (dist >= d).all(axis=1) & within_cap & (prefix_nond + nond <= budget)
+    return grid[keep], nond[keep], prefix_nond
+
+
+@pytest.mark.parametrize("params", [(2, 5, 2, 8), (4, 7, 6, 8), (5, 7, 6, 15)])
+def test_job_states_match_brute_force(monkeypatch, params):
+    states = []
+    expand_job = search._expand_job
+
+    def capturing(args):
+        states.append(args[2])
+        return expand_job(args)
+
+    monkeypatch.setattr(search, "_expand_job", capturing)
+    task = EnumerationTask(*params)
+    enumerate_codes(task)
+    q, n, d, target = params
+    cap = search._Searcher(task, None).cap
+    budget = pair_count_bounds(q, n, d, target).budget
+    assert len(states) > SPLIT_JOBS
+    for chosen, cand, nond, prefix_nond in states:
+        want_cand, want_nond, want_prefix = brute_force_state(
+            q, n, d, cap, budget, chosen
+        )
+        assert cand.tolist() == want_cand.tolist()
+        assert nond.tolist() == want_nond.tolist()
+        assert prefix_nond == want_prefix
 
 
 def test_codes_by_deletion_trivial():
