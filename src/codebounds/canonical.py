@@ -22,10 +22,8 @@ the committed rows maps an already searched sibling onto it, since its
 subtree is then that sibling's image.  ``_canonize`` returns these
 automorphisms as equivalences of the form onto itself.
 
-Deciding whether a code already is canonical takes a cheaper route: the
-candidate image is compared against the code's own next row while it is
-being built, so almost all source rows are discarded after a couple of
-positions, and any row beating the target settles the question at once.
+Deciding whether a code already is canonical is the same search,
+started from the code itself and stopped at the first smaller row.
 """
 from __future__ import annotations
 
@@ -37,54 +35,16 @@ __all__ = ["canonical_form", "is_canonical"]
 _DEFAULT_NODE_BUDGET = 20_000_000
 
 
-class _Smaller(Exception):
-    """Internal: a strictly smaller image exists, decision is done."""
-
-
-def _greedy_row(u: Word, cells, maps, nfree):
+def _greedy(u: Word, cells, maps, nfree, bound):
     """Minimal achievable image of word u under the current partial state.
 
     Returns (img, plan): img is the image row read in cell order, plan
-    lists the refined cells as (value, columns, fresh) groups.
+    lists the refined cells as (value, columns, fresh) groups.  bound is
+    a row or None: img stays None while it ties bound, bound itself is
+    returned for a full tie, and None as soon as img exceeds bound, so
+    most rows stop after a couple of positions.
     """
-    img = []
-    plan = []
-    for cell in cells:
-        if len(cell) == 1:
-            j = cell[0]
-            v = maps[j][u[j]]
-            fresh = v < 0
-            if fresh:
-                v = nfree[j]
-            img.append(v)
-            plan.append((v, cell, fresh))
-            continue
-        byval: dict[int, list[int]] = {}
-        tfresh = -1
-        for j in cell:
-            v = maps[j][u[j]]
-            if v < 0:
-                if tfresh < 0:
-                    tfresh = nfree[j]
-                v = tfresh
-            g = byval.get(v)
-            if g is None:
-                byval[v] = [j]
-            else:
-                g.append(j)
-        for v in sorted(byval):
-            js = byval[v]
-            img.extend([v] * len(js))
-            plan.append((v, tuple(js), v == tfresh))
-    return tuple(img), plan
-
-
-def _greedy_vs(u: Word, cells, maps, nfree, target: Word):
-    """Compare the minimal image of u against a target row positionally.
-
-    Returns (-1, None) or (1, None) on the first divergence, or (0, plan)
-    when the minimal image equals the target.
-    """
+    img = [] if bound is None else None
     plan = []
     pos = 0
     for cell in cells:
@@ -94,10 +54,14 @@ def _greedy_vs(u: Word, cells, maps, nfree, target: Word):
             fresh = v < 0
             if fresh:
                 v = nfree[j]
-            tv = target[pos]
-            if v != tv:
-                return (-1 if v < tv else 1), None
-            pos += 1
+            if img is not None:
+                img.append(v)
+            elif v == (b := bound[pos]):
+                pos += 1
+            elif v > b:
+                return None
+            else:
+                img = [*bound[:pos], v]
             plan.append((v, cell, fresh))
             continue
         byval: dict[int, list[int]] = {}
@@ -115,13 +79,20 @@ def _greedy_vs(u: Word, cells, maps, nfree, target: Word):
                 g.append(j)
         for v in sorted(byval):
             js = byval[v]
-            for _ in js:
-                tv = target[pos]
-                if v != tv:
-                    return (-1 if v < tv else 1), None
-                pos += 1
+            c = len(js)
+            if img is None:
+                for b in bound[pos : pos + c]:
+                    if v != b:
+                        if v > b:
+                            return None
+                        img = list(bound[:pos])
+                        break
+                else:
+                    pos += c
+            if img is not None:
+                img.extend([v] * c)
             plan.append((v, tuple(js), v == tfresh))
-    return 0, plan
+    return (bound if img is None else tuple(img)), plan
 
 
 def _apply_plan(u: Word, maps, nfree, plan):
@@ -143,19 +114,15 @@ def _apply_plan(u: Word, maps, nfree, plan):
 
 class _Engine:
     def __init__(self, words, n, q, node_budget):
-        self.words = words
         self.m_count = len(words)
         self.n = n
         self.q = q
-        self.root_cells = (tuple(range(n)),)
-        self.root_maps = ((-1,) * q,) * n
-        self.root_nfree = (0,) * n
         self.node_budget = node_budget
         self.nodes = 0
         self.autos: list[tuple[int, ...]] = []
         self.best_path: tuple[int, ...] | None = None
         # column order and symbol maps of the best leaf and of each leaf
-        # behind an entry of autos, when the caller passes them
+        # behind an entry of autos
         self.best_leaf = None
         self.leaves: list = []
         self.used: list[int] = []
@@ -178,16 +145,12 @@ class _Engine:
             stack.extend(new)
         return i in orbit
 
-    def record_leaf(self, leaf=None):
-        """Keep the first leaf as best_path, and a later one, which ties
-        it, as the automorphism p with p[best_path[t]] = used[t].  Return
-        the level to resume at: m_count after the first leaf, else the
+    def record_leaf(self, leaf):
+        """Keep a leaf that ties the best one as the automorphism p with
+        p[best_path[t]] = used[t], and return the level to resume at: the
         first level l where the two paths part.  p fixes best_path[:l] and
         maps the fully searched subtree below best_path[l] onto the current
         one, whose other leaves are thus images of leaves already seen."""
-        if self.best_path is None:
-            self.new_best(leaf)
-            return self.m_count
         p = [0] * self.m_count
         for a, b in zip(self.best_path, self.used):
             p[a] = b
@@ -235,60 +198,13 @@ def _bijection(partial, q):
     return out
 
 
-def _decide(words: tuple[Word, ...], n: int, q: int, node_budget: int) -> bool:
-    """True when the sorted word tuple is its own least image."""
-    m_count = len(words)
-    if m_count == 1:
-        return words[0] == (0,) * n
-    if words[0] != (0,) * n:
-        return False
-    if m_count == 2:
-        g = sum(a == b for a, b in zip(words[0], words[1]))
-        return words[1] == (0,) * g + (1,) * (n - g)
-    eng = _Engine(words, n, q, node_budget)
-
-    def dfs(cells, maps, nfree):
-        eng.tick()
-        k = len(eng.used)
-        if k == m_count:
-            return eng.record_leaf()
-        target = words[k]
-        achievers = []
-        plans = {}
-        for i in range(m_count):
-            if i in eng.used_set:
-                continue
-            cmp, plan = _greedy_vs(words[i], cells, maps, nfree, target)
-            if cmp < 0:
-                raise _Smaller
-            if cmp == 0:
-                achievers.append(i)
-                plans[i] = plan
-        done: list[int] = []
-        for i in achievers:
-            if done and eng.autos and eng.pruned(i, done):
-                continue
-            nc, nm, nf = _apply_plan(words[i], maps, nfree, plans[i])
-            eng.used.append(i)
-            eng.used_set.add(i)
-            back = dfs(nc, nm, nf)
-            eng.used.pop()
-            eng.used_set.remove(i)
-            if back < k:
-                return back
-            done.append(i)
-        return m_count
-
-    try:
-        dfs(eng.root_cells, eng.root_maps, eng.root_nfree)
-    except _Smaller:
-        return False
-    return True
-
-
-def _least_image(words: tuple[Word, ...], n: int, q: int, node_budget: int):
+def _least_image(
+    words: tuple[Word, ...], n: int, q: int, node_budget: int, decide: bool = False
+):
     """Least image matrix of a sorted word tuple, and the engine that
-    holds the automorphisms found on the way."""
+    holds the automorphisms found on the way.  With decide set, the
+    search stops at the first row whose image falls below the tuple's
+    own, which it leaves in the matrix."""
     m_count = len(words)
     eng = _Engine(words, n, q, node_budget)
     best = list(words)
@@ -300,28 +216,32 @@ def _least_image(words: tuple[Word, ...], n: int, q: int, node_budget: int):
         k = len(eng.used)
         if k == m_count:
             leaf = (tuple(j for cell in cells for j in cell), maps)
-            if tight:
+            if tight and eng.best_path is not None:
                 return eng.record_leaf(leaf)
             best[:] = prefix
             eng.new_best(leaf)
             state["gen"] += 1
             return m_count
-        evals = []
-        vmin = None
+        # a row is bounded by the least image so far, else by best[k]
+        # while the prefix ties best
+        vmin = best[k] if tight else None
+        achievers: dict[int, list] = {}
         for i in range(m_count):
             if i in eng.used_set:
                 continue
-            img, plan = _greedy_row(words[i], cells, maps, nfree)
-            if vmin is None or img < vmin:
-                vmin = img
-            evals.append((img, i, plan))
-        if tight:
-            if vmin > best[k]:
-                return m_count
-            now_tight = vmin == best[k]
-        else:
-            now_tight = False
-        achievers = {i: plan for (img, i, plan) in evals if img == vmin}
+            r = _greedy(words[i], cells, maps, nfree, vmin)
+            if r is None:
+                continue
+            img, plan = r
+            if img is vmin:  # a tie returns the bound itself
+                achievers[i] = plan
+                continue
+            if decide and img < vmin:
+                best[k] = img
+                return -1  # below the root: every level returns at once
+            vmin = img
+            achievers = {i: plan}
+        now_tight = tight and vmin == best[k]
         gen_seen = state["gen"]
         done: list[int] = []
         for i in achievers:
@@ -345,7 +265,7 @@ def _least_image(words: tuple[Word, ...], n: int, q: int, node_budget: int):
             done.append(i)
         return m_count
 
-    dfs(eng.root_cells, eng.root_maps, eng.root_nfree, True)
+    dfs((tuple(range(n)),), ((-1,) * q,) * n, (0,) * n, True)
     return best, eng
 
 
@@ -372,14 +292,23 @@ def canonical_form(code: Code, node_budget: int = _DEFAULT_NODE_BUDGET) -> Code:
 def is_canonical(code: Code, node_budget: int = _DEFAULT_NODE_BUDGET) -> bool:
     """True when the code equals its own canonical form.
 
-    Cheaper than computing the form: the search compares candidate
-    images against the code itself and stops at the first win.
+    The search for the form, stopped at the first row whose image falls
+    below the code's own.
     """
     if code.size == 0:
         return True
-    return _decide(code.words, code.params.n, code.params.q, node_budget)
+    return _decide_words(code.words, code.params.n, code.params.q, node_budget)
 
 
-def _decide_words(words: tuple[Word, ...], n: int, q: int) -> bool:
-    """Decision entry for callers that track words without a Code."""
-    return _decide(words, n, q, _DEFAULT_NODE_BUDGET)
+def _decide_words(
+    words: tuple[Word, ...], n: int, q: int, node_budget: int = _DEFAULT_NODE_BUDGET
+) -> bool:
+    """True when the sorted word tuple is its own least image; the
+    decision entry for callers that track words without a Code."""
+    if words[0] != (0,) * n:
+        return False
+    if len(words) <= 2:
+        # the least codes of one and two words: 0^n, and 0^n, 0^g 1^(n-g)
+        g = words[-1].count(0)
+        return words[-1] == (0,) * g + (1,) * (n - g)
+    return _least_image(words, n, q, node_budget, decide=True)[0] == list(words)

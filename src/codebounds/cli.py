@@ -213,10 +213,7 @@ def _net_report_lines(report, gram_ok: bool) -> list[str]:
 
 
 def cmd_net(args) -> int:
-    try:
-        text = Path(args.path).read_text()
-    except OSError as exc:
-        return _fail(str(exc))
+    text = Path(args.path).read_text()
     try:
         if args.action == "check":
             net = parse_net(text)
@@ -290,7 +287,12 @@ def cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # an unreadable input or unwritable output is an input error, never
+    # a refutation
+    try:
+        return args.func(args)
+    except OSError as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

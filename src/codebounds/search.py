@@ -63,17 +63,14 @@ CHECK_FIRST_WORDS = 4
 class EnumerationTask:
     """Parameters and budgets of one classification run.
 
-    ``mode`` is "all" for the full set of classes or "exists" to stop at
-    the first code found.  A node budget of None means the default, and
-    instances with q**n beyond desk scale are refused unless a budget is
-    given explicitly.
+    A node budget of None means the default, and instances with q**n
+    beyond desk scale are refused unless a budget is given explicitly.
     """
 
     q: int
     n: int
     d: int
     target_size: int
-    mode: str = "all"
     node_budget: int | None = None
     time_limit: float | None = DEFAULT_TIME_LIMIT
 
@@ -81,8 +78,6 @@ class EnumerationTask:
         CodeParams(self.q, self.n, self.d)
         if self.target_size < 1:
             raise ValueError("target size must be positive")
-        if self.mode not in ("all", "exists"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @lru_cache(maxsize=32)
@@ -93,15 +88,10 @@ def all_words(q: int, n: int) -> np.ndarray:
     return grid
 
 
-class _Found(Exception):
-    """Internal: existence mode found a code."""
-
-
 class _Searcher:
     def __init__(self, task: EnumerationTask, deadline: float | None):
         self.q, self.n, self.d = task.q, task.n, task.d
         self.target = task.target_size
-        self.mode = task.mode
         self.node_budget = (
             task.node_budget if task.node_budget is not None else DEFAULT_NODE_BUDGET
         )
@@ -180,8 +170,6 @@ class _Searcher:
         k = len(chosen)
         if k == stop_size:
             self.found.append((chosen, cand, nond, prefix_nond))
-            if self.mode == "exists" and k == self.target:
-                raise _Found
             return
         need = self.target - k
         # Deciding a child of up to 4 words is an early return or about 4
@@ -218,8 +206,6 @@ def _expand_job(args):
         s.counts[s.col_idx, w] += 1
     try:
         s.expand(*state, stop_size)
-    except _Found:
-        pass
     except BudgetError as exc:
         return s.found, s.nodes, str(exc)
     return s.found, s.nodes, None
@@ -275,8 +261,6 @@ def enumerate_codes(task: EnumerationTask, workers: int = 1) -> tuple[Code, ...]
         exhausted = [f"enumeration node budget {node_budget} exhausted"]
     if exhausted:
         raise BudgetError(exhausted[0], nodes, codes)
-    if task.mode == "exists":
-        return codes[:1]
     return codes
 
 

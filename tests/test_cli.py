@@ -150,6 +150,20 @@ def test_enumerate_rejects_bad_params(argv, capsys):
     assert err.startswith("error:")
 
 
+def test_enumerate_unwritable_out_is_an_input_error(tmp_path, capsys):
+    # --out names a file, so neither the class files nor the PARTIAL
+    # marker of an exhausted budget can be written
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for extra in ((), ("--budget", "3")):
+        rc, out, err = run_cli(
+            capsys, "enumerate", "2", "4", "2", "6", "--out", str(taken), *extra
+        )
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 def test_net_gh_expand_check_to_code_chain(tmp_path, capsys):
     gh_path = tmp_path / "gh8.gh"
     gh_path.write_text(packaged_text("gh8_klein4.gh"))
@@ -244,6 +258,17 @@ def test_net_explicit_out_path(tmp_path, capsys):
     assert parse_code(target.read_text()).size == 9
 
 
+def test_net_unwritable_out_is_an_input_error(tmp_path, capsys):
+    gh_path = tmp_path / "gh8.gh"
+    gh_path.write_text(packaged_text("gh8_klein4.gh"))
+    target = tmp_path / "missing" / "gh8.net"
+    rc, out, err = run_cli(capsys, "net", "gh-expand", str(gh_path), "--out", str(target))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_verify_writes_certificate(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "verify", "a3_16_11", "--out", str(tmp_path))
     assert rc == 0
@@ -251,6 +276,15 @@ def test_verify_writes_certificate(tmp_path, capsys):
     payload = json.loads((tmp_path / "a3_16_11.cert.json").read_text())
     assert payload["verdict"] == "verified"
     assert (tmp_path / "a3_16_11.cert.txt").read_text() == out
+
+
+def test_verify_unwritable_out_is_an_input_error(tmp_path, capsys):
+    rc, _, err = run_cli(
+        capsys, "verify", "a3_16_11", "--out", str(tmp_path / "missing" / "dir")
+    )
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_verify_json_output(tmp_path, capsys):

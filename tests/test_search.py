@@ -10,6 +10,7 @@ from codebounds.bounds import pair_count_bounds
 from codebounds.canonical import _canonize, _least_image, canonical_form, is_canonical
 from codebounds.codes import (
     Code,
+    CodeParams,
     EquivalenceMap,
     apply_equivalence,
     hamming_distance,
@@ -30,7 +31,7 @@ from codebounds.search import (
     enumerate_codes,
     extend_deficient,
 )
-from codebounds import search
+from codebounds import canonical, search
 from codebounds.search import _codes_by_deletion, _orbit_representatives
 
 LATIN_SQUARE_CODE = (
@@ -53,8 +54,6 @@ def brute_force_classes(q, n, d, size):
 def test_task_validation():
     with pytest.raises(ValueError):
         EnumerationTask(3, 3, 2, 0)
-    with pytest.raises(ValueError):
-        EnumerationTask(3, 3, 2, 9, mode="some")
     with pytest.raises(ValueError):
         EnumerationTask(3, 3, 4, 9)  # d > n
 
@@ -93,12 +92,6 @@ def test_enumerate_output_is_sorted_and_canonical():
     got = enumerate_codes(EnumerationTask(2, 4, 2, 6))
     assert list(got) == sorted(got, key=lambda c: c.words)
     assert all(canonical_form(c) == c for c in got)
-
-
-def test_exists_mode():
-    res = enumerate_codes(EnumerationTask(2, 4, 2, 6, mode="exists"))
-    assert len(res) == 1
-    assert res[0] in set(enumerate_codes(EnumerationTask(2, 4, 2, 6)))
 
 
 def test_worker_determinism():
@@ -415,17 +408,47 @@ def test_code32_group_from_few_generators():
 
 def test_canonical_search_node_counts():
     # the node counts are deterministic; these bounds keep the pruning
-    # from going slack unnoticed
+    # from going slack unnoticed, and the exact counts pin the search
     parent = code32()
     form = canonical_form(parent)
     p = parent.params
-    for words, bound in [
-        (parent.words, 1_000),
-        (form.words[1:], 15_000),
-        (form.words[:-1], 15_000),
+    for words, bound, exact in [
+        (parent.words, 1_000, 270),
+        (form.words[1:], 15_000, 11_876),
+        (form.words[:-1], 15_000, 3_036),
     ]:
         _, eng = _least_image(words, p.n, p.q, 10**8)
         assert eng.nodes <= bound
+        assert eng.nodes == exact
+
+
+def test_decision_nodes_are_pinned(monkeypatch):
+    # every decision of serial (4,7,6,8) that runs the search, with its
+    # node count; each must agree with the canonical form, which covers
+    # the equidistant partial codes that random codes do not reach
+    ticks, searched = [0], []
+    tick, decide = canonical._Engine.tick, search._decide_words
+
+    def counting_tick(self):
+        ticks[0] += 1
+        tick(self)
+
+    def recording_decide(words, n, q):
+        before = ticks[0]
+        accepted = decide(words, n, q)
+        if ticks[0] > before:
+            searched.append((words, accepted))
+        return accepted
+
+    monkeypatch.setattr(canonical._Engine, "tick", counting_tick)
+    monkeypatch.setattr(search, "_decide_words", recording_decide)
+    enumerate_codes(EnumerationTask(4, 7, 6, 8))
+    assert ticks[0] == 9_482
+    assert searched
+    params = CodeParams(4, 7, 6)
+    for words, accepted in searched:
+        code = Code(params, words)
+        assert is_canonical(code) == accepted == (canonical_form(code) == code)
 
 
 def test_extend_deficient_roundtrip():
