@@ -278,7 +278,7 @@ def cmd_verify(args) -> int:
         cert = run_pipeline(args.theorem_id, workers=max(1, args.threads))
     except KeyError as exc:
         return _fail(exc.args[0])
-    except (BudgetError, ScaleError) as exc:
+    except (BudgetError, ScaleError, MemoryError) as exc:
         return _fail(f"{args.theorem_id}: no verdict, resources exhausted: {exc}")
     write_certificate(cert, args.out)
     sys.stdout.write(cert.to_json() if args.json else cert.to_text())

@@ -4,10 +4,12 @@ Each pipeline replays one argument from scratch: A_5(8,6) <= 65 by the
 per-column occupancy count, A_3(16,11) <= 29 by the equidistance parity
 count, A_4(9,6) <= 120 by the symmetric-net block count, and the family
 of bounds they induce through the divisibility argument and column
-recursion.  Every numeric claim is recomputed, never transcribed; the
-outcome is a Certificate whose verdict is ``verified`` only when every
-step passed.  Serialization is deterministic, so two runs differ at most
-in the environment block.
+recursion.  Every numeric claim is recomputed, never transcribed.  Each
+pipeline body is a generator that yields its steps as ``(desc, op, data,
+ok)``; one runner, ``_run``, looks up the registry input, numbers the
+steps 1..k and builds a Certificate whose verdict is ``verified`` only
+when every step passed.  Serialization is deterministic, so two runs
+differ at most in the environment block.
 """
 from __future__ import annotations
 
@@ -170,29 +172,38 @@ def write_certificate(cert: Certificate, directory: str | os.PathLike) -> tuple[
     return base + ".json", base + ".txt"
 
 
-def _environment(workers: int) -> dict[str, Any]:
-    return {
+def _run(theorem_id, workers, steps, lookup=None, inputs=()) -> Certificate:
+    """Number the steps a pipeline body yields and build its certificate.
+
+    ``steps`` is a generator function yielding ``(desc, op, data, ok)``.
+    With ``lookup=(q, n, d)`` the registry entry for A_q(n,d) becomes the
+    certificate's one input and the body's one argument; a registry miss
+    gives a one-step ``inapplicable`` certificate instead.
+    """
+    environment = {
         "generator": f"codebounds {__version__}",
         "workers": workers,
         "node_budget": DEFAULT_NODE_BUDGET,
         "time_limit": DEFAULT_TIME_LIMIT,
     }
-
-
-def _finish(theorem_id, inputs, steps, environment) -> Certificate:
-    verdict = "verified" if all(s.ok for s in steps) else "refuted"
-    return Certificate(theorem_id, tuple(inputs), tuple(steps), verdict, environment)
-
-
-def _inapplicable(theorem_id, environment, missing: RegistryMissError) -> Certificate:
-    step = CertStep(
-        1,
-        "look up a required known value",
-        "registry_lookup",
-        {"error": str(missing)},
-        False,
-    )
-    return Certificate(theorem_id, (), (step,), "inapplicable", environment)
+    verdict = None
+    if lookup is None:
+        body = steps()
+    else:
+        try:
+            entry = registry_lookup(*lookup)
+        except RegistryMissError as exc:
+            verdict = "inapplicable"
+            body = [
+                ("look up a required known value", "registry_lookup", {"error": str(exc)}, False)
+            ]
+        else:
+            inputs = (CertInput("A_%d(%d,%d)" % lookup, entry.value, entry.provenance),)
+            body = steps(entry)
+    numbered = tuple(CertStep(i, *step) for i, step in enumerate(body, 1))
+    if verdict is None:
+        verdict = "verified" if all(s.ok for s in numbered) else "refuted"
+    return Certificate(theorem_id, tuple(inputs), numbered, verdict, environment)
 
 
 # --- the A_5(8,6) <= 65 argument -------------------------------------------
@@ -266,6 +277,10 @@ def verify_inequality_17(step_id: int = 1) -> CertStep:
     is f(a) <= f(b) and f(b) != 0; the upper aggregate charges 7a_k + b_k
     codes of size k with h(k) irregular pairs each.
     """
+    return CertStep(step_id, *_inequality_17())
+
+
+def _inequality_17():
     ks = tuple(range(5, 16))
     h = {k: h_table(5, 7, 6, k) for k in ks}
     profiles = profile_tuples()
@@ -297,8 +312,7 @@ def verify_inequality_17(step_id: int = 1) -> CertStep:
         else {"a": list(tightest.profile_a), "b": list(tightest.profile_b)},
     }
     ok = not violations and len(profiles) == 30 and applicable > 0
-    return CertStep(
-        step_id,
+    return (
         "aggregate irregular-pair inequality over all ordered profile pairs",
         "inequality-17",
         data,
@@ -308,13 +322,10 @@ def verify_inequality_17(step_id: int = 1) -> CertStep:
 
 def verify_a5_8_6(workers: int = 1) -> Certificate:
     """Certify A_5(8,6) <= 65 by ruling out 15- and 14-blocks."""
-    theorem_id = "a5_8_6"
-    env = _environment(workers)
-    try:
-        entry = registry_lookup(5, 7, 6)
-    except RegistryMissError as exc:
-        return _inapplicable(theorem_id, env, exc)
-    inputs = [CertInput("A_5(7,6)", entry.value, entry.provenance)]
+    return _run("a5_8_6", workers, lambda entry: _a5_8_6(entry, workers), lookup=(5, 7, 6))
+
+
+def _a5_8_6(entry, workers):
     if workers == 1:
         size15 = classify(5, 7, 6, entry.value)
         size14_direct = classify(5, 7, 6, entry.value - 1)
@@ -323,88 +334,64 @@ def verify_a5_8_6(workers: int = 1) -> Certificate:
         size14_direct = enumerate_codes(
             EnumerationTask(5, 7, 6, entry.value - 1), workers=workers
         )
-    steps = [
-        CertStep(
-            1,
-            "classify (7,6)_5 codes of size 15 up to equivalence",
-            "enumerate_codes",
-            {"classes": len(size15), "claimed": 7},
-            len(size15) == 7,
-        )
-    ]
+    yield (
+        "classify (7,6)_5 codes of size 15 up to equivalence",
+        "enumerate_codes",
+        {"classes": len(size15), "claimed": 7},
+        len(size15) == 7,
+    )
 
     by_deletion = codes_by_deletion(size15)
     identical = tuple(c.words for c in by_deletion) == tuple(
         c.words for c in size14_direct
     )
-    steps.append(
-        CertStep(
-            2,
-            "classify (7,6)_5 codes of size 14: word deletion and direct "
-            "enumeration must agree",
-            "codes_by_deletion",
-            {
-                "deletion_classes": len(by_deletion),
-                "direct_classes": len(size14_direct),
-                "canonical_sets_identical": identical,
-                "deletion_cap": 7 * 15,
-            },
-            identical and len(by_deletion) <= 7 * 15,
-        )
+    yield (
+        "classify (7,6)_5 codes of size 14: word deletion and direct "
+        "enumeration must agree",
+        "codes_by_deletion",
+        {
+            "deletion_classes": len(by_deletion),
+            "direct_classes": len(size14_direct),
+            "canonical_sets_identical": identical,
+            "deletion_cap": 7 * 15,
+        },
+        identical and len(by_deletion) <= 7 * 15,
     )
 
     stats15 = [alpha_stats(c) for c in size15]
     stats14 = [alpha_stats(c) for c in size14_direct]
-    a0_15 = [s.count_eq(0) for s in stats15]
-    a1_15 = [s.count_eq(1) for s in stats15]
-    a2_15 = [s.count_eq(2) for s in stats15]
-    a0_14 = [s.count_eq(0) for s in stats14]
-    le1_14 = [s.count_le(1) for s in stats14]
-    alpha_ok = (
-        all(v == 0 for v in a0_15)
-        and all(v <= 21 for v in a1_15)
-        and all(v == 0 for v in a2_15)
-        and all(v <= 8 for v in a0_14)
-        and all(v <= 39 for v in le1_14)
-    )
-    steps.append(
-        CertStep(
-            3,
-            "alpha statistics of the far-word sets: no completion for "
-            "size-15 classes, few near-completions for size-14 classes",
-            "alpha_stats",
-            {
-                "threshold": 5,
-                "size15_alpha0": a0_15,
-                "size15_alpha1": a1_15,
-                "size15_alpha2": a2_15,
-                "size14_alpha0": a0_14,
-                "size14_alpha_le1": le1_14,
-                "caps": {
-                    "size15_alpha0": 0,
-                    "size15_alpha1": 21,
-                    "size15_alpha2": 0,
-                    "size14_alpha0": 8,
-                    "size14_alpha_le1": 39,
-                },
-            },
-            alpha_ok,
-        )
+    counts = {
+        "size15_alpha0": [s.count_eq(0) for s in stats15],
+        "size15_alpha1": [s.count_eq(1) for s in stats15],
+        "size15_alpha2": [s.count_eq(2) for s in stats15],
+        "size14_alpha0": [s.count_eq(0) for s in stats14],
+        "size14_alpha_le1": [s.count_le(1) for s in stats14],
+    }
+    caps = {
+        "size15_alpha0": 0,
+        "size15_alpha1": 21,
+        "size15_alpha2": 0,
+        "size14_alpha0": 8,
+        "size14_alpha_le1": 39,
+    }
+    yield (
+        "alpha statistics of the far-word sets: no completion for "
+        "size-15 classes, few near-completions for size-14 classes",
+        "alpha_stats",
+        {"threshold": 5, **counts, "caps": caps},
+        all(v <= caps[key] for key, values in counts.items() for v in values),
     )
 
     ks = tuple(range(15, 4, -1))
     computed_h = tuple(h_table(5, 7, 6, k) for k in ks)
-    steps.append(
-        CertStep(
-            4,
-            "irregular-pair budgets h(k) for (7,6)_5 codes of size k",
-            "h_table",
-            {"k": list(ks), "h": list(computed_h), "claimed": list(H_TABLE_CLAIM)},
-            computed_h == H_TABLE_CLAIM,
-        )
+    yield (
+        "irregular-pair budgets h(k) for (7,6)_5 codes of size k",
+        "h_table",
+        {"k": list(ks), "h": list(computed_h), "claimed": list(H_TABLE_CLAIM)},
+        computed_h == H_TABLE_CLAIM,
     )
 
-    steps.append(verify_inequality_17(step_id=5))
+    yield _inequality_17()
 
     feasible = [
         (x, y)
@@ -414,22 +401,18 @@ def verify_a5_8_6(workers: int = 1) -> Certificate:
     positive = all(f_eval(x, y) > 0 for x, y in feasible if (x, y) != (0, 0))
     zero_profiles = [p for p in profile_tuples() if f_eval(p[14], p[13]) == 0]
     forced = all(p[14] == 0 and p[13] == 0 for p in zero_profiles)
-    steps.append(
-        CertStep(
-            6,
-            "f vanishes only at (0,0), so every column of a size-65 code "
-            "carries each symbol exactly 13 times and no larger code exists",
-            "f_eval",
-            {
-                "feasible_xy": len(feasible),
-                "f_zero_only_at_origin": positive and f_eval(0, 0) == 0,
-                "zero_profiles_have_no_15_or_14_blocks": forced,
-                "bound": 65,
-            },
-            positive and f_eval(0, 0) == 0 and forced,
-        )
+    yield (
+        "f vanishes only at (0,0), so every column of a size-65 code "
+        "carries each symbol exactly 13 times and no larger code exists",
+        "f_eval",
+        {
+            "feasible_xy": len(feasible),
+            "f_zero_only_at_origin": positive and f_eval(0, 0) == 0,
+            "zero_profiles_have_no_15_or_14_blocks": forced,
+            "bound": 65,
+        },
+        positive and f_eval(0, 0) == 0 and forced,
     )
-    return _finish(theorem_id, inputs, steps, env)
 
 
 # --- the A_3(16,11) <= 29 argument ------------------------------------------
@@ -437,35 +420,26 @@ def verify_a5_8_6(workers: int = 1) -> Certificate:
 
 def verify_a3_16_11(workers: int = 1) -> Certificate:
     """Certify A_3(16,11) <= 29 by the ones-count parity contradiction."""
-    theorem_id = "a3_16_11"
-    env = _environment(workers)
-    try:
-        entry = registry_lookup(3, 15, 11)
-    except RegistryMissError as exc:
-        return _inapplicable(theorem_id, env, exc)
-    inputs = [CertInput("A_3(15,11)", entry.value, entry.provenance)]
+    return _run("a3_16_11", workers, _a3_16_11, lookup=(3, 15, 11))
+
+
+def _a3_16_11(entry):
     a = entry.value
-    steps = [
-        CertStep(
-            1,
-            "column blocks of a size-30 (16,11)_3 code puncture to "
-            "(15,11)_3 codes, so all three have exactly 10 words",
-            "registry_lookup",
-            {"block_cap": a, "hypothetical_size": 30, "balance_forced": 3 * a == 30},
-            3 * a == 30,
-        )
-    ]
+    yield (
+        "column blocks of a size-30 (16,11)_3 code puncture to "
+        "(15,11)_3 codes, so all three have exactly 10 words",
+        "registry_lookup",
+        {"block_cap": a, "hypothetical_size": 30, "balance_forced": 3 * a == 30},
+        3 * a == 30,
+    )
 
     pcb = pair_count_bounds(3, 15, 11, a)
     forced = equidistance_forced(3, 15, 11, a)
-    steps.append(
-        CertStep(
-            2,
-            "pair counting forces every size-10 (15,11)_3 code to be equidistant",
-            "equidistance_forced",
-            {"L": pcb.L, "R": pcb.R, "budget": pcb.budget, "forced": forced},
-            forced and pcb.L == 180 and pcb.R == 180,
-        )
+    yield (
+        "pair counting forces every size-10 (15,11)_3 code to be equidistant",
+        "equidistance_forced",
+        {"L": pcb.L, "R": pcb.R, "budget": pcb.budget, "forced": forced},
+        forced and pcb.L == 180 and pcb.R == 180,
     )
 
     # Words sharing a column symbol lie in a common block, and the block
@@ -479,27 +453,23 @@ def verify_a3_16_11(workers: int = 1) -> Certificate:
     contradiction = (
         all(v % 5 == 0 for v in agreements) and residue_columns != residue_words
     )
-    steps.append(
-        CertStep(
-            3,
-            "count the ones of a size-30 code containing the all-ones "
-            "word: columns give a multiple of 5, words do not",
-            "parity_count",
-            {
-                "ones_per_column": a,
-                "columns": columns,
-                "total_ones_by_columns": ones_by_columns,
-                "columns_residue_mod_5": residue_columns,
-                "ones_of_all_ones_word": n,
-                "other_word_agreements": list(agreements),
-                "words_residue_mod_5": residue_words,
-                "contradiction": contradiction,
-                "bound": 29,
-            },
-            contradiction,
-        )
+    yield (
+        "count the ones of a size-30 code containing the all-ones "
+        "word: columns give a multiple of 5, words do not",
+        "parity_count",
+        {
+            "ones_per_column": a,
+            "columns": columns,
+            "total_ones_by_columns": ones_by_columns,
+            "columns_residue_mod_5": residue_columns,
+            "ones_of_all_ones_word": n,
+            "other_word_agreements": list(agreements),
+            "words_residue_mod_5": residue_words,
+            "contradiction": contradiction,
+            "bound": 29,
+        },
+        contradiction,
     )
-    return _finish(theorem_id, inputs, steps, env)
 
 
 # --- the A_4(9,6) <= 120 argument -------------------------------------------
@@ -507,14 +477,10 @@ def verify_a3_16_11(workers: int = 1) -> Certificate:
 
 def verify_a4_9_6(workers: int = 1) -> Certificate:
     """Certify A_4(9,6) <= 120 by ruling out 31- and 32-blocks."""
-    theorem_id = "a4_9_6"
-    env = _environment(workers)
-    try:
-        entry = registry_lookup(4, 8, 6)
-    except RegistryMissError as exc:
-        return _inapplicable(theorem_id, env, exc)
-    inputs = [CertInput("A_4(8,6)", entry.value, entry.provenance)]
+    return _run("a4_9_6", workers, _a4_9_6, lookup=(4, 8, 6))
 
+
+def _a4_9_6(entry):
     gh = parse_gh(packaged_text("gh8_klein4.gh"))
     gh_ok = verify_gh(gh)
     net = gh_expand(gh)
@@ -523,39 +489,33 @@ def verify_a4_9_6(workers: int = 1) -> Certificate:
     code32 = net_to_code(net)
     p = code32.params
     dmin = min_distance(code32)
-    steps = [
-        CertStep(
-            1,
-            "expand the order-8 generalized Hadamard matrix over the "
-            "Klein four-group to a symmetric (2,4)-net and read off the "
-            "size-32 (8,6)_4 code",
-            "gh_expand",
-            {
-                "gh_order": gh.order,
-                "group_order": gh.group.order,
-                "gh_ok": gh_ok,
-                "net_axioms_ok": report.ok,
-                "gram_ok": gram_ok,
-                "q": p.q,
-                "n": p.n,
-                "size": code32.size,
-                "min_distance": dmin,
-            },
-            gh_ok
-            and report.ok
-            and gram_ok
-            and (p.q, p.n, code32.size, dmin) == (4, 8, 32, 6),
-        )
-    ]
+    yield (
+        "expand the order-8 generalized Hadamard matrix over the "
+        "Klein four-group to a symmetric (2,4)-net and read off the "
+        "size-32 (8,6)_4 code",
+        "gh_expand",
+        {
+            "gh_order": gh.order,
+            "group_order": gh.group.order,
+            "gh_ok": gh_ok,
+            "net_axioms_ok": report.ok,
+            "gram_ok": gram_ok,
+            "q": p.q,
+            "n": p.n,
+            "size": code32.size,
+            "min_distance": dmin,
+        },
+        gh_ok
+        and report.ok
+        and gram_ok
+        and (p.q, p.n, code32.size, dmin) == (4, 8, 32, 6),
+    )
 
-    steps.append(
-        CertStep(
-            2,
-            "the size-32 (8,6)_4 code is unique up to equivalence",
-            "registry_lookup",
-            {"value": entry.value, "kind": entry.kind, "unique": entry.unique},
-            entry.value == 32 and entry.kind == "exact" and entry.unique,
-        )
+    yield (
+        "the size-32 (8,6)_4 code is unique up to equivalence",
+        "registry_lookup",
+        {"value": entry.value, "kind": entry.kind, "unique": entry.unique},
+        entry.value == 32 and entry.kind == "exact" and entry.unique,
     )
 
     parent32 = _Canonized(*_canonize(code32))
@@ -563,19 +523,16 @@ def verify_a4_9_6(workers: int = 1) -> Certificate:
     closes = all(
         canonical_form(extend_deficient(c)) == parent32.form for c in classes31
     )
-    steps.append(
-        CertStep(
-            3,
-            "classify size-31 codes by word deletion; each extends back "
-            "to the size-32 code, so the classification is exhaustive",
-            "codes_by_deletion",
-            {
-                "classes": len(classes31),
-                "cap": 32,
-                "extension_closes": closes,
-            },
-            0 < len(classes31) <= 32 and closes,
-        )
+    yield (
+        "classify size-31 codes by word deletion; each extends back "
+        "to the size-32 code, so the classification is exhaustive",
+        "codes_by_deletion",
+        {
+            "classes": len(classes31),
+            "cap": 32,
+            "extension_closes": closes,
+        },
+        0 < len(classes31) <= 32 and closes,
     )
 
     count32 = candidate_count(code32, 5)
@@ -583,25 +540,22 @@ def verify_a4_9_6(workers: int = 1) -> Certificate:
     max_count = max([count32, *counts31])
     claimed = max_count <= 25
     sufficient = max_count < 31
-    steps.append(
-        CertStep(
-            4,
-            "count ambient words at distance >= 5 from every word of the "
-            "size-32 code and of each size-31 class",
-            "candidate_count",
-            {
-                "threshold": 5,
-                "count_size_32": count32,
-                "counts_size_31": counts31,
-                "max_count": max_count,
-                "claimed_cap": 25,
-                "claim_ok": claimed,
-                "sufficient_cap": 31,
-                "sufficient_ok": sufficient,
-                "divergence": sufficient and not claimed,
-            },
-            sufficient,
-        )
+    yield (
+        "count ambient words at distance >= 5 from every word of the "
+        "size-32 code and of each size-31 class",
+        "candidate_count",
+        {
+            "threshold": 5,
+            "count_size_32": count32,
+            "counts_size_31": counts31,
+            "max_count": max_count,
+            "claimed_cap": 25,
+            "claim_ok": claimed,
+            "sufficient_cap": 31,
+            "sufficient_ok": sufficient,
+            "divergence": sufficient and not claimed,
+        },
+        sufficient,
     )
 
     cases = []
@@ -617,111 +571,96 @@ def verify_a4_9_6(workers: int = 1) -> Certificate:
                 "contradiction": capacity < outside,
             }
         )
-    steps.append(
-        CertStep(
-            5,
-            "a 31- or 32-block in a size-120 (9,6)_4 code leaves more "
-            "outside words than candidate slots, so no block exists and "
-            "the bound follows",
-            "block_count",
-            {"cases": cases, "bound": 120},
-            all(c["contradiction"] for c in cases),
-        )
+    yield (
+        "a 31- or 32-block in a size-120 (9,6)_4 code leaves more "
+        "outside words than candidate slots, so no block exists and "
+        "the bound follows",
+        "block_count",
+        {"cases": cases, "bound": 120},
+        all(c["contradiction"] for c in cases),
     )
-    return _finish(theorem_id, inputs, steps, env)
 
 
 # --- the composed family ----------------------------------------------------
+
+FAMILY_INPUTS = (
+    CertInput("A_5(8,6)", 65, "a5_8_6 pipeline: per-column occupancy argument"),
+    CertInput("A_4(9,6)", 120, "a4_9_6 pipeline: symmetric-net block argument"),
+    CertInput("A_3(16,11)", 29, "a3_16_11 pipeline: ones-count parity argument"),
+)
 
 
 def verify_divisibility_family(workers: int = 1) -> Certificate:
     """Certify the remaining table rows: two divisibility bounds plus the
     column recursion closures of the three headline bounds."""
-    theorem_id = "divisibility_family"
-    env = _environment(workers)
-    inputs = [
-        CertInput("A_5(8,6)", 65, "a5_8_6 pipeline: per-column occupancy argument"),
-        CertInput("A_4(9,6)", 120, "a4_9_6 pipeline: symmetric-net block argument"),
-        CertInput("A_3(16,11)", 29, "a3_16_11 pipeline: ones-count parity argument"),
-    ]
-    steps = []
+    return _run("divisibility_family", workers, _divisibility_family, inputs=FAMILY_INPUTS)
 
+
+def _divisibility_family():
+    known = {i.name: i.value for i in FAMILY_INPUTS}
     div1 = divisibility_bound(5, 8, 6)
-    steps.append(
-        CertStep(
-            1,
-            "divisibility bound at (5,8,6); the occupancy argument later "
-            "sharpens 70 to 65",
-            "divisibility_bound",
-            {
-                "applicable": div1.applicable,
-                "m": div1.m,
-                "phi": [list(row) for row in div1.phi_table],
-                "r": div1.r,
-                "bound": div1.bound,
-                "sharpened_to": 65,
-            },
-            div1.applicable and div1.bound == 70,
-        )
+    yield (
+        "divisibility bound at (5,8,6); the occupancy argument later "
+        "sharpens 70 to 65",
+        "divisibility_bound",
+        {
+            "applicable": div1.applicable,
+            "m": div1.m,
+            "phi": [list(row) for row in div1.phi_table],
+            "r": div1.r,
+            "bound": div1.bound,
+            "sharpened_to": known["A_5(8,6)"],
+        },
+        div1.applicable and div1.bound == 70,
     )
 
     div2 = divisibility_bound(4, 11, 8)
-    steps.append(
-        CertStep(
-            2,
-            "divisibility bound at (4,11,8)",
-            "divisibility_bound",
-            {
-                "applicable": div2.applicable,
-                "m": div2.m,
-                "phi": [list(row) for row in div2.phi_table],
-                "r": div2.r,
-                "bound": div2.bound,
-            },
-            div2.applicable and div2.bound == 60,
-        )
+    known["A_4(11,8)"] = div2.bound
+    yield (
+        "divisibility bound at (4,11,8)",
+        "divisibility_bound",
+        {
+            "applicable": div2.applicable,
+            "m": div2.m,
+            "phi": [list(row) for row in div2.phi_table],
+            "r": div2.r,
+            "bound": div2.bound,
+        },
+        div2.applicable and div2.bound == 60,
     )
 
-    recursions = [
-        {"name": "A_5(9,6)", "q": 5, "from": 65, "bound": column_recursion_bound(5, 65)},
-        {"name": "A_5(10,6)", "q": 5, "from": 325, "bound": column_recursion_bound(5, 325)},
-        {"name": "A_5(11,6)", "q": 5, "from": 1625, "bound": column_recursion_bound(5, 1625)},
-        {"name": "A_4(10,6)", "q": 4, "from": 120, "bound": column_recursion_bound(4, 120)},
-        {"name": "A_4(12,8)", "q": 4, "from": 60, "bound": column_recursion_bound(4, 60)},
-    ]
+    # each row extends an input, the divisibility bound or the row before
+    recursions = []
+    for name, q, base in (
+        ("A_5(9,6)", 5, "A_5(8,6)"),
+        ("A_5(10,6)", 5, "A_5(9,6)"),
+        ("A_5(11,6)", 5, "A_5(10,6)"),
+        ("A_4(10,6)", 4, "A_4(9,6)"),
+        ("A_4(12,8)", 4, "A_4(11,8)"),
+    ):
+        known[name] = column_recursion_bound(q, known[base])
+        recursions.append({"name": name, "q": q, "from": known[base], "bound": known[name]})
     rec_ok = [r["bound"] == r["q"] * r["from"] for r in recursions]
-    steps.append(
-        CertStep(
-            3,
-            "close the family under the one-column recursion "
-            "A_q(n,d) <= q * A_q(n-1,d)",
-            "column_recursion_bound",
-            {"derived": recursions},
-            all(rec_ok),
-        )
+    yield (
+        "close the family under the one-column recursion "
+        "A_q(n,d) <= q * A_q(n-1,d)",
+        "column_recursion_bound",
+        {"derived": recursions},
+        all(rec_ok),
     )
 
-    derived = {r["name"]: r["bound"] for r in recursions}
-    derived["A_5(8,6)"] = 65
-    derived["A_4(9,6)"] = 120
-    derived["A_3(16,11)"] = 29
-    derived["A_4(11,8)"] = div2.bound
     rows = []
     match = True
     for name, claimed, via in NEW_BOUNDS_CLAIM:
-        value = derived.get(name)
+        value = known.get(name)
         rows.append({"name": name, "bound": value, "claimed": claimed, "via": via})
         match = match and value == claimed
-    steps.append(
-        CertStep(
-            4,
-            "cross-check the nine new upper bounds against the claimed table",
-            "table_check",
-            {"rows": rows, "match": match},
-            match,
-        )
+    yield (
+        "cross-check the nine new upper bounds against the claimed table",
+        "table_check",
+        {"rows": rows, "match": match},
+        match,
     )
-    return _finish(theorem_id, inputs, steps, env)
 
 
 PIPELINES: dict[str, Callable[..., Certificate]] = {

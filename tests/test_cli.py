@@ -1,10 +1,12 @@
 """Command-line interface: argument handling, exit codes, and file output."""
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import codebounds
 from codebounds import cli
 from codebounds.cli import BUDGET_ENV, main
 from codebounds.codes import parse_code
@@ -313,7 +315,7 @@ def test_verify_unknown_theorem(capsys):
 
 
 @pytest.mark.parametrize(
-    "error", [BudgetError("node budget exhausted", 7), ScaleError("too big")]
+    "error", [BudgetError("node budget exhausted", 7), ScaleError("too big"), MemoryError()]
 )
 def test_verify_exhausted_resources_is_not_a_refutation(tmp_path, monkeypatch, capsys, error):
     def exhausted(theorem_id, workers=1):
@@ -328,10 +330,13 @@ def test_verify_exhausted_resources_is_not_a_refutation(tmp_path, monkeypatch, c
 
 
 def test_module_entry_point():
+    # the child process sees no pytest pythonpath, so hand it the package root
+    root = os.path.dirname(os.path.dirname(codebounds.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "codebounds", "bound", "5", "7", "6", "--method", "plotkin"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": root},
     )
     assert proc.returncode == 0
     assert proc.stdout == "plotkin: 15\n"

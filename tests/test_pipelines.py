@@ -16,6 +16,7 @@ from codebounds.pipelines import (
     run_pipeline,
     verify_a3_16_11,
     verify_a4_9_6,
+    verify_a5_8_6,
     verify_divisibility_family,
     verify_inequality_17,
     write_certificate,
@@ -95,9 +96,13 @@ def test_a3_16_11_verifies():
     assert s3.data["bound"] == 29
 
 
-def test_a3_registry_miss_is_inapplicable(monkeypatch):
-    monkeypatch.delitem(bounds.KNOWN_VALUES, (3, 15, 11))
-    cert = verify_a3_16_11()
+@pytest.mark.parametrize(
+    "q, n, d, verify",
+    [(5, 7, 6, verify_a5_8_6), (3, 15, 11, verify_a3_16_11), (4, 8, 6, verify_a4_9_6)],
+)
+def test_a3_registry_miss_is_inapplicable(monkeypatch, q, n, d, verify):
+    monkeypatch.delitem(bounds.KNOWN_VALUES, (q, n, d))
+    cert = verify()
     assert cert.verdict == "inapplicable" and cert.exit_code == 2
     assert not cert.steps[0].ok
 
