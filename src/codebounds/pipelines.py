@@ -41,9 +41,9 @@ from .search import (
     _Canonized,
     alpha_stats,
     candidate_count,
-    classify,
     codes_by_deletion,
     enumerate_codes,
+    extend_classes,
     extend_deficient,
 )
 
@@ -326,14 +326,9 @@ def verify_a5_8_6(workers: int = 1) -> Certificate:
 
 
 def _a5_8_6(entry, workers):
-    if workers == 1:
-        size15 = classify(5, 7, 6, entry.value)
-        size14_direct = classify(5, 7, 6, entry.value - 1)
-    else:
-        size15 = enumerate_codes(EnumerationTask(5, 7, 6, entry.value), workers=workers)
-        size14_direct = enumerate_codes(
-            EnumerationTask(5, 7, 6, entry.value - 1), workers=workers
-        )
+    # one orderly search, at size 14; size 15 is its one-word extension
+    size14_direct = enumerate_codes(EnumerationTask(5, 7, 6, entry.value - 1), workers)
+    size15 = extend_classes(size14_direct, workers)
     yield (
         "classify (7,6)_5 codes of size 15 up to equivalence",
         "enumerate_codes",

@@ -5,7 +5,17 @@ lexicographic order and a partial code survives only if it is the
 canonical representative of its own equivalence class, so exactly one
 representative of every class of the target size is emitted.  Deleting
 the lexicographically last row of a canonical code leaves a canonical
-code, which makes the rule complete.
+code, which makes the rule complete (Read, "Every one a winner", 1978).
+It also means the classes of size M+1 are exactly the canonical
+one-word extensions of the classes of size M, which ``extend_classes``
+finds by one more step of the same search.
+
+Deriving size 15 of (7,6)_5 from the direct size-14 classification,
+and checking deletion from size 15 against that same size-14 result,
+loses no independence.  At both sizes the pair budget is 0 and the
+column cap 3, so the size-15 search tree is a subtree of the size-14
+one under the same rules: a decision error that hid a size-15 class
+would already hide its 14-word prefix from the direct size-14 search.
 
 Pruning is sound for any instance: pairwise distance at least d, column
 symbol counts capped by the Plotkin bound of the column projection (and
@@ -32,14 +42,14 @@ from multiprocessing import Pool
 import numpy as np
 
 from .bounds import pair_count_bounds, plotkin_bound
-from .canonical import _canonize, _decide_words, canonical_form
+from .canonical import _canonize, _decide_words, canonical_form, is_canonical
 from .codes import Code, CodeParams, Word, hamming_distance
 from .errors import BudgetError, ExtensionError, ScaleError
 
 __all__ = [
     "EnumerationTask",
     "enumerate_codes",
-    "classify",
+    "extend_classes",
     "codes_by_deletion",
     "extend_deficient",
     "AlphaStats",
@@ -227,20 +237,69 @@ def enumerate_codes(task: EnumerationTask, workers: int = 1) -> tuple[Code, ...]
     the jobs' summed nodes are checked against it once, at the end, and
     one deadline holds for every job.
     """
-    q, n, d, target = task.q, task.n, task.d, task.target_size
+    q, n = task.q, task.n
     if q**n > SCALE_CAP and task.node_budget is None:
         raise ScaleError(
             f"q**n = {q**n} exceeds desk scale {SCALE_CAP}; "
             "pass an explicit node budget to force the attempt"
         )
+    return _classify_from(task, [()], workers)
+
+
+def extend_classes(codes, workers: int = 1) -> tuple[Code, ...]:
+    """Every class of size M + 1 whose orderly parent is one of the given
+    canonical codes of size M, as canonical representatives in sorted
+    order.
+
+    By the orderly property, given every class of size M (the output of
+    ``enumerate_codes``) this is every class of size M + 1, found by one
+    step of the same search and budgets.  A code that is not canonical
+    has no child in that search, so it raises ValueError instead of
+    adding nothing, as do codes of different sizes or parameters.
+    """
+    codes = tuple(codes)
+    if not codes:
+        return ()
+    params, size = codes[0].params, codes[0].size
+    if any(c.params != params or c.size != size for c in codes):
+        raise ValueError("extend_classes needs codes of one size and one set of parameters")
+    for c in codes:
+        if not is_canonical(c):
+            raise ValueError(f"not a canonical representative: {c.words}")
+    task = EnumerationTask(params.q, params.n, params.d, size + 1)
+    return _classify_from(task, sorted({c.words for c in codes}), workers)
+
+
+def _prefix_state(task: EnumerationTask, words):
+    """Search state of a sorted word tuple, replayed word by word through
+    the search's own child step from the root; None when a word is not
+    among its prefix's candidates, so the search never reaches it."""
+    q, n = task.q, task.n
+    state = ((), all_words(q, n), np.zeros(q**n, dtype=np.int32), 0)
+    s = _Searcher(task, None)
+    for w in words:
+        cand = state[1]
+        hit = np.flatnonzero((cand == np.asarray(w, dtype=np.uint8)).all(axis=1))
+        if not len(hit):
+            return None
+        state = s.child_state(state[0] + (w,), *state[1:], int(hit[0]))
+    return state
+
+
+def _classify_from(task: EnumerationTask, prefixes, workers: int) -> tuple[Code, ...]:
+    """Every canonical code of the target size that extends one of the
+    canonical word tuples ``prefixes``, all of one size, in sorted order;
+    the level loop of ``enumerate_codes``, which starts from the empty
+    prefix."""
+    q, n, d, target = task.q, task.n, task.d, task.target_size
     if target > q**n or pair_count_bounds(q, n, d, target).budget < 0:
         return ()
     params = CodeParams(q, n, d)
     deadline = None if task.time_limit is None else time.monotonic() + task.time_limit
     node_budget = DEFAULT_NODE_BUDGET if task.node_budget is None else task.node_budget
 
-    root = ((), all_words(q, n), np.zeros(q**n, dtype=np.int32), 0)
-    found, size, nodes = [root], 0, 0
+    size, nodes = len(prefixes[0]), 0
+    found = [st for st in (_prefix_state(task, p) for p in prefixes) if st is not None]
     while True:
         final = len(found) >= SPLIT_JOBS or size + 1 == target
         stop = target if final else size + 1
@@ -262,12 +321,6 @@ def enumerate_codes(task: EnumerationTask, workers: int = 1) -> tuple[Code, ...]
     if exhausted:
         raise BudgetError(exhausted[0], nodes, codes)
     return codes
-
-
-@lru_cache(maxsize=None)
-def classify(q: int, n: int, d: int, target_size: int) -> tuple[Code, ...]:
-    """Memoized full classification with default budgets."""
-    return enumerate_codes(EnumerationTask(q, n, d, target_size))
 
 
 def codes_by_deletion(parents) -> tuple[Code, ...]:

@@ -33,9 +33,9 @@ from codebounds.search import (
     EnumerationTask,
     alpha_stats,
     candidate_count,
-    classify,
     codes_by_deletion,
     enumerate_codes,
+    extend_classes,
     extend_deficient,
 )
 
@@ -62,7 +62,7 @@ def criterion(number):
 
 @pytest.fixture(scope="module")
 def kirkman_classes():
-    return classify(5, 7, 6, 15)
+    return enumerate_codes(EnumerationTask(5, 7, 6, 15))
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +87,10 @@ def test_criterion_01_enumeration_of_size_15_codes(kirkman_classes):
     threaded = enumerate_codes(EnumerationTask(5, 7, 6, 15), workers=2)
     assert len(threaded) == 7
     assert {c.words for c in threaded} == {c.words for c in kirkman_classes}
+    # one orderly step from the size-14 classes, which deletion gives
+    size14 = codes_by_deletion(kirkman_classes)
+    for workers in (1, 2):
+        assert extend_classes(size14, workers) == kirkman_classes
 
 
 @criterion(2)
@@ -159,6 +163,17 @@ def test_certificates_are_pinned(certificates):
         for tid, c in certificates.items()
     }
     assert got == CERTIFICATE_SHA256
+
+
+def test_threaded_headline_certificate_is_pinned():
+    # the same argument through two worker processes; only the
+    # environment block's worker count differs from the workers=1 bytes
+    cert = run_pipeline("a5_8_6", workers=2)
+    got = tuple(hashlib.sha256(s.encode()).hexdigest() for s in (cert.to_json(), cert.to_text()))
+    assert got == (
+        "091208bed9eeb5ce22056cd86385d1321ae674f975918ff137ddc8688f7a28c7",
+        "a776215941669c12e5c75caeb21eeffcf200c9f3777c70baff1b99bd2fad81f6",
+    )
 
 
 @criterion(6)

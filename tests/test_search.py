@@ -29,6 +29,7 @@ from codebounds.search import (
     candidate_count,
     codes_by_deletion,
     enumerate_codes,
+    extend_classes,
     extend_deficient,
 )
 from codebounds import canonical, search
@@ -86,6 +87,73 @@ def test_enumerate_matches_brute_force(q, n, d, size):
     for code in got:
         assert is_canonical(code)
         assert min_distance(code) >= d
+    # one orderly step from every class a word smaller
+    parents = enumerate_codes(EnumerationTask(q, n, d, size - 1))
+    for workers in (1, 2):
+        assert extend_classes(parents, workers) == got
+
+
+def orbit_size(code):
+    """Number of distinct word sets among the images of the code under all
+    n!(q!)^n column permutations and per-column symbol renamings."""
+    q, n = code.params.q, code.params.n
+    images = set()
+    for cols in itertools.permutations(range(n)):
+        for sps in itertools.product(itertools.permutations(range(q)), repeat=n):
+            images.add(
+                frozenset(tuple(sps[j][w[cols[j]]] for j in range(n)) for w in code.words)
+            )
+    return len(images)
+
+
+def labelled_count(q, n, d, size):
+    """Number of word subsets of the given size with minimum distance d."""
+    space = itertools.product(range(q), repeat=n)
+    return sum(min_distance_of(sub) >= d for sub in itertools.combinations(space, size))
+
+
+@pytest.mark.parametrize(
+    "params,classes,labelled",
+    [
+        ((2, 3, 2, 4), 1, 2),
+        ((2, 4, 2, 6), 2, 56),
+        ((2, 4, 3, 2), 2, 40),
+        ((3, 3, 2, 4), 8, 3_078),
+        ((2, 5, 3, 4), 1, 120),
+    ],
+)
+def test_labelled_double_count(params, classes, labelled):
+    # the orbits of the classes partition the labelled codes; neither
+    # side uses the canonical search
+    q, n, d, size = params
+    assert labelled_count(*params) == labelled
+    direct = enumerate_codes(EnumerationTask(*params))
+    extended = extend_classes(enumerate_codes(EnumerationTask(q, n, d, size - 1)))
+    for route in (direct, extended):
+        assert len(route) == classes
+        assert sum(orbit_size(c) for c in route) == labelled
+
+
+def test_latin_square_class_is_every_latin_square():
+    # the one (3,3,2,9) class, by either route, has the 12 Latin squares
+    # of order 3 as its orbit
+    latin = enumerate_codes(EnumerationTask(3, 3, 2, 9))
+    assert extend_classes(enumerate_codes(EnumerationTask(3, 3, 2, 8))) == latin
+    assert [orbit_size(c) for c in latin] == [12]
+
+
+def test_extend_classes_refuses_what_it_cannot_extend():
+    latin = Code.from_words(LATIN_SQUARE_CODE, 3, 3)
+    assert extend_classes([]) == ()
+    # not canonical: deleting the first word leaves no 0^n row
+    with pytest.raises(ValueError, match="canonical"):
+        extend_classes([Code(latin.params, latin.words[1:])])
+    pair = enumerate_codes(EnumerationTask(3, 3, 2, 2))
+    with pytest.raises(ValueError, match="one size"):
+        extend_classes([*pair, latin])
+    looser = Code.from_words(pair[0].words, 3, 3, d=1)
+    with pytest.raises(ValueError, match="one size"):
+        extend_classes([pair[0], looser])
 
 
 def test_enumerate_output_is_sorted_and_canonical():
@@ -147,6 +215,10 @@ def test_infeasible_pair_budget_is_empty():
     # 16 words of a (7,6)_5 code would need a negative irregular budget
     assert pair_count_bounds(5, 7, 6, 16).budget < 0
     assert enumerate_codes(EnumerationTask(5, 7, 6, 16)) == ()
+    # the one size-4 class of (5,3)_2 codes fails the size-5 filters
+    # itself, so it is dropped before any child is tried
+    assert pair_count_bounds(2, 5, 3, 5).budget >= 0
+    assert extend_classes(enumerate_codes(EnumerationTask(2, 5, 3, 4))) == ()
 
 
 def test_budget_error_carries_partial_state():
